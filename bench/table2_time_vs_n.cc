@@ -1,9 +1,9 @@
 // Table II reproduction: overall time of SQM (gamma = 18, BGW, P = 4
 // clients, m = 1000 records in the paper) versus the data dimension n, for
-// PCA and LR, next to the isolated cost of DP noise injection.
+// PCA and LR, next to the time for DP noise (the local sampling).
 // Expected shape: overall time grows superlinearly in n (n^2 m for PCA,
-// n m for LR) while the DP-injection time stays near-constant, so the DP
-// overhead fraction -> 0 as n grows.
+// n m for LR) while the DP time stays near-constant, so the DP overhead
+// fraction -> 0 as n grows.
 
 #include <cstdio>
 #include <vector>

@@ -1,7 +1,7 @@
 // Table IV reproduction: overall time of SQM (gamma = 18, BGW, P = 4,
 // n = 500 in the paper) versus the record count m. Expected shape: overall
-// time grows linearly in m while the DP-injection time is independent of m
-// (the noise dimension depends only on n).
+// time grows linearly in m while the DP time (the local noise sampling) is
+// independent of m (the noise dimension depends only on n).
 
 #include <cstdio>
 #include <vector>

@@ -1,8 +1,7 @@
 // Table V reproduction: overall time of SQM (gamma = 18, BGW, m = n = 500
-// in the paper) versus the number of clients P. Expected shape: both the
-// overall time and the DP-injection time grow with P (BGW traffic is
-// quadratic in P; every client contributes a noise share), but DP stays a
-// small fraction of the total.
+// in the paper) versus the number of clients P. Expected shape: the overall
+// time grows with P (BGW traffic is quadratic in P), and the DP time (the
+// local noise sampling, one draw per client) stays a small fraction of it.
 
 #include <cstdio>
 #include <vector>

@@ -4,8 +4,7 @@
 // Shared machinery for the timing tables (paper Tables II, IV, V): run the
 // PCA covariance release and the LR gradient release through the real BGW
 // engine over the simulated network (per-round latency 0.1 s, as in the
-// paper) and report the overall time next to the marginal cost of DP noise
-// injection.
+// paper) and report the overall time next to the time for DP noise.
 
 #include <cmath>
 #include <cstdio>
@@ -20,6 +19,8 @@ namespace bench {
 
 struct TimingRow {
   double overall_seconds = 0.0;
+  /// "Time for DP": the clients' local Skellam sampling. The noise shares
+  /// ride in the data's input round, so no protocol step is timed apart.
   double noise_seconds = 0.0;
   uint64_t messages = 0;
   uint64_t elements = 0;  ///< Field elements on the wire (8 bytes each).

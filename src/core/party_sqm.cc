@@ -1,41 +1,24 @@
 #include "core/party_sqm.h"
 
-#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/logging.h"
-#include "core/quantize.h"
-#include "core/sensitivity.h"
-#include "dp/accountant.h"
-#include "dp/skellam.h"
-#include "mpc/beaver.h"
+#include "core/sqm_session.h"
 #include "mpc/checkpoint_store.h"
-#include "mpc/circuit.h"
 #include "mpc/field.h"
-#include "mpc/network.h"
 #include "mpc/party_protocol.h"
-#include "mpc/protocol.h"
 #include "mpc/shamir.h"
-#include "net/liveness.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "poly/parser.h"
-#include "sampling/skellam_sampler.h"
 
 namespace sqm {
 namespace {
-
-double SecondsSince(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Identity of the computation a durable checkpoint belongs to: every
 /// config field that determines the circuit structure, the synthetic
@@ -46,11 +29,6 @@ uint64_t ConfigFingerprint(const DeploymentConfig& config) {
   const auto mix = [&h](uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   };
-  const auto mix_double = [&mix](double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  };
   mix(config.run_id);
   mix(config.seed);
   mix(config.data_seed);
@@ -58,8 +36,8 @@ uint64_t ConfigFingerprint(const DeploymentConfig& config) {
   mix(config.cols);
   mix(config.parties.size());
   mix(config.bgw_threshold);
-  mix_double(config.gamma);
-  mix_double(config.mu);
+  mix(std::bit_cast<uint64_t>(config.gamma));
+  mix(std::bit_cast<uint64_t>(config.mu));
   mix(config.quantize_coefficients ? 1 : 0);
   // The mul backend changes the RNG consumption schedule (Beaver Mul
   // never draws re-sharing randomness), so checkpoints do not transfer
@@ -105,7 +83,6 @@ Result<SqmOptions> SqmOptionsFromDeployment(const DeploymentConfig& config) {
   options.num_clients = config.parties.size();
   options.backend = MpcBackend::kBgw;
   options.bgw_threshold = config.bgw_threshold;
-  options.transport = TransportMode::kLockstep;
   options.seed = config.seed;
   SQM_ASSIGN_OR_RETURN(options.dropout_policy,
                        DropoutPolicyFromString(config.dropout_policy));
@@ -133,209 +110,48 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
     return Status::InvalidArgument(
         "transport party count does not match the deployment roster");
   }
-  SQM_ASSIGN_OR_RETURN(const DropoutPolicy policy,
-                       DropoutPolicyFromString(config.dropout_policy));
-  SQM_ASSIGN_OR_RETURN(const MulBackend mul_backend,
-                       MulBackendFromString(config.mul_backend));
+  SQM_ASSIGN_OR_RETURN(const SqmOptions options,
+                       SqmOptionsFromDeployment(config));
   SQM_ASSIGN_OR_RETURN(const PolynomialVector f,
                        ParsePolynomialVector(config.polynomial));
-
   const size_t cols = DeploymentCols(config);
-  // Validation mirror of SqmEvaluator::Evaluate — same failure, same
-  // message class, before any traffic.
-  if (f.output_dim() == 0) {
-    return Status::InvalidArgument("polynomial has no output dimensions");
-  }
-  if (f.MinArity() > cols) {
-    return Status::InvalidArgument(
-        "polynomial references more variables than the database has columns");
-  }
-  if (num_clients > cols) {
-    return Status::InvalidArgument(
-        "more clients than columns: every client must own >= 1 column");
-  }
-  if (num_clients < 3) {
-    return Status::InvalidArgument(
-        "the BGW backend needs >= 3 clients (threshold < n/2 with "
-        "threshold >= 1)");
-  }
-  if (config.gamma < 1.0) {
-    return Status::InvalidArgument("gamma must be >= 1");
-  }
-  if (config.mu < 0.0) {
-    return Status::InvalidArgument("mu must be >= 0");
-  }
-  if (config.check_capacity) {
-    SQM_RETURN_NOT_OK(CheckFieldCapacity(config.rows, config.gamma,
-                                         f.Degree(), config.max_f_l2,
-                                         config.mu));
-  }
-
-  const Matrix x = GenerateDeploymentMatrix(config.rows, cols,
-                                            config.data_seed);
-  Rng rng(config.seed);
-
-  obs::Span evaluate_span("sqm.party_evaluate", "sqm");
-  evaluate_span.AddArg("party", static_cast<int64_t>(me));
-  evaluate_span.AddArg("clients", static_cast<int64_t>(num_clients));
-  evaluate_span.AddArg("rows", static_cast<int64_t>(config.rows));
-
-  // ---- Step 1: quantization. Coefficients are public, so every party
-  // derives the same quantized polynomial from the shared seed's
-  // coefficient stream. Data columns: this party replays the driver's
-  // per-column split sequence and stochastically rounds ONLY its own
-  // columns — the splits consume parent draws but never data, so the
-  // values equal what driver mode assigns to this party.
-  const auto quantize_start = std::chrono::steady_clock::now();
-  QuantizedPolynomial qf;
-  if (config.quantize_coefficients) {
-    Rng coeff_rng = rng.Split(0x0c0eff);
-    SQM_ASSIGN_OR_RETURN(qf,
-                         QuantizePolynomial(f, config.gamma, coeff_rng));
-  } else {
-    for (const Polynomial& p : f.dims()) {
-      for (const Monomial& term : p.terms()) {
-        if (term.Degree() != f.Degree()) {
-          return Status::InvalidArgument(
-              "quantize_coefficients=false requires all monomials to have "
-              "the polynomial's degree");
-        }
-        const double c = term.coefficient();
-        if (c != std::floor(c)) {
-          return Status::InvalidArgument(
-              "quantize_coefficients=false requires integer coefficients");
-        }
-      }
-    }
-    qf.degree = f.Degree();
-    qf.output_scale =
-        std::pow(config.gamma, static_cast<double>(qf.degree));
-    qf.dims.resize(f.output_dim());
-    for (size_t t = 0; t < f.output_dim(); ++t) {
-      for (const Monomial& term : f.dims()[t].terms()) {
-        QuantizedMonomial qm;
-        qm.coefficient = static_cast<int64_t>(term.coefficient());
-        qm.exponents = term.exponents();
-        qf.dims[t].push_back(std::move(qm));
-      }
-    }
-  }
-  Rng data_rng = rng.Split(0xda7a);
-  const auto [col_begin, col_end] =
-      ClientColumnRange(me, cols, num_clients);
-  std::vector<std::vector<int64_t>> my_columns(cols);
-  for (size_t j = 0; j < cols; ++j) {
-    Rng client_rng = data_rng.Split(j);
-    if (j >= col_begin && j < col_end) {
-      my_columns[j] = StochasticRoundVector(x.Col(j), config.gamma,
-                                            client_rng);
-    }
-  }
-  const double quantize_seconds = SecondsSince(quantize_start);
-
-  // ---- Step 2: local Skellam noise — own stream only, same replay.
-  const auto noise_start = std::chrono::steady_clock::now();
-  const size_t d = f.output_dim();
-  std::vector<int64_t> my_noise(d, 0);
-  if (config.mu > 0.0) {
-    const SkellamSampler sampler(config.mu /
-                                 static_cast<double>(num_clients));
-    for (size_t j = 0; j < num_clients; ++j) {
-      Rng client_rng = rng.Split(0x4015e + j);
-      if (j == me) my_noise = sampler.SampleVector(client_rng, d);
-    }
-  }
-  const double noise_seconds = SecondsSince(noise_start);
-
-  SensitivityBound sensitivity;
-  if (config.mu > 0.0) {
-    sensitivity = PolynomialSensitivity(f, config.gamma,
-                                        config.record_norm_bound,
-                                        config.max_f_l2,
-                                        config.quantize_coefficients);
-  }
-
-  const size_t threshold = config.bgw_threshold == 0
-                               ? (num_clients - 1) / 2
-                               : config.bgw_threshold;
-  SQM_RETURN_NOT_OK(ShamirScheme::Validate(num_clients, threshold));
+  SQM_RETURN_NOT_OK(
+      ValidateSqmRequest(f, config.rows, cols, options).status());
 
   if (obs::Enabled()) {
     obs::Tracer::Global().SetTrackName(static_cast<int32_t>(me),
                                        "party " + std::to_string(me));
   }
   obs::TrackScope party_track(static_cast<int32_t>(me));
+  obs::Span evaluate_span("sqm.party_evaluate", "sqm");
+  evaluate_span.AddArg("party", static_cast<int64_t>(me));
+  evaluate_span.AddArg("clients", static_cast<int64_t>(num_clients));
+  evaluate_span.AddArg("rows", static_cast<int64_t>(config.rows));
+
+  const Matrix x = GenerateDeploymentMatrix(config.rows, cols,
+                                            config.data_seed);
+  SQM_ASSIGN_OR_RETURN(const SqmInputs inputs,
+                       QuantizeAndSampleNoise(f, x, options, num_clients, me));
+
+  const size_t threshold = BgwThreshold(options, num_clients);
   obs::Span bgw_span("sqm.bgw", "sqm");
   bgw_span.AddArg("parties", static_cast<int64_t>(num_clients));
   bgw_span.AddArg("threshold", static_cast<int64_t>(threshold));
 
-  // ---- Step 3: the same circuit SqmEvaluator::EvaluateBgw builds — the
-  // structure is a pure function of (qf, rows, cols, partition, d), all
-  // public. Only this party's input VALUES are filled in.
-  Circuit circuit;
-  std::vector<std::vector<Circuit::WireId>> column_wires(cols);
-  std::vector<int64_t> my_inputs;
-  for (size_t j = 0; j < num_clients; ++j) {
-    const auto [begin, end] = ClientColumnRange(j, cols, num_clients);
-    for (size_t col = begin; col < end; ++col) {
-      column_wires[col].resize(config.rows);
-      for (size_t i = 0; i < config.rows; ++i) {
-        column_wires[col][i] = circuit.AddInput(j);
-        if (j == me) my_inputs.push_back(my_columns[col][i]);
-      }
-    }
-  }
-  std::vector<std::vector<Circuit::WireId>> noise_wires(num_clients);
-  for (size_t j = 0; j < num_clients; ++j) {
-    noise_wires[j].resize(d);
-    for (size_t t = 0; t < d; ++t) {
-      noise_wires[j][t] = circuit.AddInput(j);
-      if (j == me) my_inputs.push_back(my_noise[t]);
-    }
-  }
-  for (size_t t = 0; t < d; ++t) {
-    Circuit::WireId acc = circuit.AddConstant(0);
-    for (size_t i = 0; i < config.rows; ++i) {
-      for (const QuantizedMonomial& term : qf.dims[t]) {
-        Circuit::WireId prod = 0;
-        bool have_prod = false;
-        for (const auto& [var, exp] : term.exponents) {
-          for (uint32_t e = 0; e < exp; ++e) {
-            if (!have_prod) {
-              prod = column_wires[var][i];
-              have_prod = true;
-            } else {
-              prod = circuit.AddMul(prod, column_wires[var][i]);
-            }
-          }
-        }
-        const Field::Element coeff = Field::Encode(term.coefficient);
-        const Circuit::WireId scaled =
-            have_prod ? circuit.AddMulConst(prod, coeff)
-                      : circuit.AddConstant(coeff);
-        acc = circuit.AddAdd(acc, scaled);
-      }
-    }
-    for (size_t j = 0; j < num_clients; ++j) {
-      acc = circuit.AddAdd(acc, noise_wires[j][t]);
-    }
-    circuit.MarkOutput(acc);
-  }
-
+  const Circuit circuit =
+      BuildSqmCircuit(inputs.qf, config.rows, cols, num_clients);
   PartyEngine engine(ShamirScheme(num_clients, threshold), transport,
-                     config.seed ^ 0xb9d7, me);
-  if (hooks.mul_level_hook) {
-    engine.set_mul_level_hook(hooks.mul_level_hook);
-  }
+                     options.seed ^ 0xb9d7, me);
+  engine.set_mul_level_hook(hooks.mul_level_hook);
+  const DropoutPolicy policy = options.dropout_policy;
   const size_t quorum = 2 * threshold + 1;
   LivenessTracker tracker(num_clients);
   if (policy != DropoutPolicy::kAbort) engine.set_liveness(&tracker);
 
-  // Supervised recovery: durable checkpoints at every phase boundary plus
-  // resume barriers on failure, so a kill -9'd party can be respawned by
-  // the coordinator and rejoin with full quorum (docs/DEPLOYMENT.md
-  // "Recovery & supervision"). Needs a non-abort policy: abort runs have
-  // no liveness tracker to arbitrate a barrier.
+  // Supervised recovery (docs/DEPLOYMENT.md "Recovery & supervision"):
+  // durable checkpoints at every phase boundary plus resume barriers on
+  // failure, so a kill -9'd party can be respawned and rejoin. Abort runs
+  // have no liveness tracker to arbitrate a barrier.
   const bool recovery_enabled = !hooks.checkpoint_dir.empty() &&
                                 config.recovery_deadline_seconds > 0.0 &&
                                 policy != DropoutPolicy::kAbort;
@@ -367,21 +183,19 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
       }
     });
     if (hooks.incarnation > 0) {
-      // Restarted process: restore the pre-crash wire shares and RNG
-      // cursor, so redone levels deal bit-identical randomness.
+      // Restore the pre-crash shares and RNG cursor so redone levels match.
       Result<DurableCheckpoint> loaded = store.Load();
-      if (loaded.ok() && loaded.ValueOrDie().run_id == config.run_id &&
-          loaded.ValueOrDie().party == me &&
-          loaded.ValueOrDie().fingerprint == fingerprint &&
-          loaded.ValueOrDie().valid &&
-          loaded.ValueOrDie().wire_shares.size() == circuit.gates().size()) {
-        DurableCheckpoint& snap = loaded.ValueOrDie();
+      DurableCheckpoint* snap = loaded.ok() ? &loaded.ValueOrDie() : nullptr;
+      if (snap != nullptr && snap->run_id == config.run_id &&
+          snap->party == me && snap->fingerprint == fingerprint &&
+          snap->valid &&
+          snap->wire_shares.size() == circuit.gates().size()) {
         checkpoint.valid = true;
-        checkpoint.next_level = static_cast<size_t>(snap.next_level);
+        checkpoint.next_level = static_cast<size_t>(snap->next_level);
         checkpoint.mul_rounds_done =
-            static_cast<size_t>(snap.mul_rounds_done);
-        checkpoint.wire_shares = std::move(snap.wire_shares);
-        engine.protocol().RestoreRngState(snap.rng_state);
+            static_cast<size_t>(snap->mul_rounds_done);
+        checkpoint.wire_shares = std::move(snap->wire_shares);
+        engine.protocol().RestoreRngState(snap->rng_state);
       } else {
         SQM_LOG(kWarning)
             << "party " << me << ": no usable durable checkpoint ("
@@ -391,28 +205,16 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
     }
   }
 
-  // Beaver backend: every party pre-deals the SAME pool from the shared
-  // (scheme, seed, capacity) — offline work, before the online clock.
-  // A checkpoint resume replays Mul levels, so the pool is provisioned
-  // for mpc_max_attempts full passes. Supervised recovery is rejected:
-  // the pool cursor is not part of the durable checkpoint, so a restarted
-  // incarnation could not realign its triple stream.
-  std::unique_ptr<BeaverTriplePool> beaver_pool;
-  if (mul_backend == MulBackend::kBeaver) {
-    if (recovery_enabled) {
-      return Status::InvalidArgument(
-          "mul_backend=beaver is not supported with supervised recovery: "
-          "the Beaver pool cursor is not part of the durable checkpoint");
-    }
-    const size_t pool_attempts =
-        policy != DropoutPolicy::kAbort
-            ? std::max<size_t>(config.mpc_max_attempts, 1)
-            : 1;
-    beaver_pool = std::make_unique<BeaverTriplePool>(
-        ShamirScheme(num_clients, threshold), config.seed ^ 0xbea7e5,
-        circuit.num_multiplications() * pool_attempts);
-    engine.protocol().set_beaver_pool(beaver_pool.get());
+  // Supervised recovery cannot realign a restarted party's Beaver triple
+  // stream: the pool cursor is not part of the durable checkpoint.
+  if (options.mul_backend == MulBackend::kBeaver && recovery_enabled) {
+    return Status::InvalidArgument(
+        "mul_backend=beaver is not supported with supervised recovery: "
+        "the Beaver pool cursor is not part of the durable checkpoint");
   }
+  const std::unique_ptr<BeaverTriplePool> beaver_pool =
+      MakeBeaverPool(options, num_clients, threshold, circuit);
+  engine.protocol().set_beaver_pool(beaver_pool.get());
 
   const auto compute_start = std::chrono::steady_clock::now();
 
@@ -437,102 +239,63 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
     return Status::OK();
   };
 
-  // Checkpoint retry loop, mirroring the driver. Under TCP's crash-stop
-  // failure model a failed level usually means a permanent quorum
-  // shortfall (links die, they do not flake), so without recovery retries
-  // are rare — the loop exists for schedule parity and for transports
-  // with transient faults. With recovery enabled, a failed level is the
-  // NORMAL rendezvous with a restarted peer.
+  // Checkpoint retry loop. Under TCP's crash-stop model a failed level
+  // usually means a permanent quorum shortfall, so without recovery
+  // retries are rare; with recovery, a failed level is the normal
+  // rendezvous with a restarted peer.
   PartyCheckpoint* checkpoint_ptr =
       policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
-  const size_t max_attempts =
-      policy != DropoutPolicy::kAbort
-          ? std::max<size_t>(config.mpc_max_attempts, 1)
-          : 1;
-  PartyProtocol::Shares out_shares;
-  std::vector<int64_t> raw;
-  double topup_mu = 0.0;
-  size_t attempts = 0;
-  size_t resumed_from_level = 0;
+  const size_t max_attempts = MaxMpcAttempts(options);
+  const size_t d = f.output_dim();
+  const std::vector<int64_t> my_inputs = PartyInputs(inputs, me, num_clients);
+  MpcOutcome outcome;
   if (recovery_enabled && hooks.incarnation > 0) {
     // The peers of this killed-and-respawned party are already waiting at
     // their barriers; answer before the first attempt.
     SQM_RETURN_NOT_OK(reconcile());
-    resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
+    outcome.resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
   }
 
-  // kTopUp: replay the driver's survivor-ordered top-up split sequence;
-  // this party samples only its own compensating share. Survivor sets
-  // agree across parties under the crash-stop model (a dead TCP link is
-  // kUnavailable for every peer). Deterministic seeds, so re-running it
-  // on a fresh out_shares after a recovery retry adds the same values.
-  const auto run_topup = [&](PartyProtocol::Shares* shares_io,
-                             double* mu_out) -> Status {
-    *mu_out = 0.0;
-    const size_t num_dropped =
-        policy != DropoutPolicy::kAbort ? tracker.num_dead() : 0;
-    if (policy != DropoutPolicy::kTopUp || config.mu <= 0.0 ||
-        num_dropped == 0) {
-      return Status::OK();
-    }
-    const std::vector<size_t> survivors = tracker.Survivors();
-    const double per_survivor_mu =
-        config.mu * static_cast<double>(num_dropped) /
-        (static_cast<double>(num_clients) *
-         static_cast<double>(survivors.size()));
-    const SkellamSampler sampler(per_survivor_mu);
-    Rng topup_root(config.seed ^ 0x70bu);
-    for (size_t j : survivors) {
-      Rng survivor_rng = topup_root.Split(j);
-      std::vector<Field::Element> encoded;
-      if (j == me) {
-        encoded = Field::EncodeVector(sampler.SampleVector(survivor_rng, d));
-      }
+  // One attempt: evaluate (resuming from the possibly rewound checkpoint),
+  // add this party's top-up share, open. Nothing is double-added.
+  bool evaluated = false;
+  const auto attempt = [&]() -> Result<std::vector<int64_t>> {
+    evaluated = false;
+    SQM_ASSIGN_OR_RETURN(
+        PartyProtocol::Shares shares,
+        engine.EvaluateToShares(circuit, my_inputs, checkpoint_ptr));
+    evaluated = true;
+    const TopUpPlan topup = PlanTopUp(options, num_clients, tracker);
+    const std::vector<std::vector<int64_t>> topup_noise =
+        SampleTopUp(options, topup, d, me);
+    for (size_t k = 0; k < topup.survivors.size(); ++k) {
       SQM_ASSIGN_OR_RETURN(
           const PartyProtocol::Shares extra_shares,
-          engine.protocol().ShareFromParty(j, encoded, d, "topup"));
-      SQM_ASSIGN_OR_RETURN(*shares_io,
-                           engine.protocol().Add(*shares_io, extra_shares));
-      *mu_out += per_survivor_mu;
+          engine.protocol().ShareFromParty(
+              topup.survivors[k], Field::EncodeVector(topup_noise[k]), d,
+              "topup"));
+      SQM_ASSIGN_OR_RETURN(shares, engine.protocol().Add(shares, extra_shares));
     }
-    return Status::OK();
+    outcome.topup_mu = topup.mu;
+    return engine.OpenOutputs(shares);
   };
 
-  // The retry loop covers evaluate AND the output opening. The opening is
-  // the protocol's last exchange: under recovery its full-quorum failure
-  // (a laggard peer still at its resume barrier) must route back through
-  // reconcile() like any failed level, or the laggard would be stranded
-  // with nobody answering its barrier. Each retry recomputes out_shares
-  // from the (possibly rewound) checkpoint, so nothing is double-added.
   while (true) {
-    ++attempts;
-    Status failure = Status::OK();
-    Result<PartyProtocol::Shares> shares =
-        engine.EvaluateToShares(circuit, my_inputs, checkpoint_ptr);
-    if (!shares.ok()) {
-      failure = shares.status();
-    } else {
-      out_shares = std::move(shares).ValueOrDie();
-      const Status topup_status = run_topup(&out_shares, &topup_mu);
-      if (!topup_status.ok()) {
-        // Without recovery this keeps the pre-recovery contract: a topup
-        // or open failure is terminal, never retried.
-        if (!recovery_enabled) return topup_status;
-        failure = topup_status;
-      } else {
-        Result<std::vector<int64_t>> opened = engine.OpenOutputs(out_shares);
-        if (opened.ok()) {
-          raw = std::move(opened).ValueOrDie();
-          break;
-        }
-        if (!recovery_enabled) return opened.status();
-        failure = opened.status();
-      }
+    ++outcome.attempts;
+    Result<std::vector<int64_t>> opened = attempt();
+    if (opened.ok()) {
+      outcome.raw = std::move(opened).ValueOrDie();
+      break;
     }
-    SQM_LOG(kInfo) << "party " << me << " attempt " << attempts
-                   << " failed: " << failure;
+    // Without recovery a top-up or open failure is terminal. Under
+    // recovery the opening's full-quorum failure (a laggard peer still at
+    // its resume barrier) routes back through reconcile() like any failed
+    // level, or the laggard would be stranded with nobody answering it.
+    if (evaluated && !recovery_enabled) return opened.status();
+    SQM_LOG(kInfo) << "party " << me << " attempt " << outcome.attempts
+                   << " failed: " << opened.status();
     bool retryable =
-        policy != DropoutPolicy::kAbort && attempts < max_attempts;
+        policy != DropoutPolicy::kAbort && outcome.attempts < max_attempts;
     if (retryable && recovery_enabled) {
       // The barrier may revive a restarted party or declare a vanished
       // one positively dead, so the quorum check comes after it.
@@ -540,100 +303,18 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
     }
     retryable = retryable && (checkpoint.valid || recovery_enabled) &&
                 tracker.num_alive() >= quorum;
-    if (!retryable) return failure;
-    resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
+    if (!retryable) return opened.status();
+    outcome.resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
   }
-  const double compute_seconds = SecondsSince(compute_start);
-  const size_t num_dropped_final =
-      policy != DropoutPolicy::kAbort ? tracker.num_dead() : 0;
-  if (num_dropped_final > 0) {
+  outcome.compute_seconds = SecondsSince(compute_start);
+  const size_t num_dropped = tracker.num_dead();
+  if (num_dropped > 0) {
     SQM_FLIGHT_EVENT2("degrade", config.dropout_policy.c_str(),
-                      static_cast<int64_t>(num_dropped_final),
-                      static_cast<int64_t>(attempts));
+                      static_cast<int64_t>(num_dropped),
+                      static_cast<int64_t>(outcome.attempts));
   }
-
-  // Noise-injection timing probe, same shape as the driver's but with
-  // zero vectors for the other parties (their noise is private to them);
-  // the timing is representative, the values are never compared.
-  const auto inject_start = std::chrono::steady_clock::now();
-  {
-    SimulatedNetwork scratch(num_clients, 0.0);
-    scratch.set_registry_accounting(false);
-    BgwProtocol protocol(ShamirScheme(num_clients, threshold), &scratch,
-                         config.seed ^ 0x5c4a7c);
-    SharedVector sum(num_clients, d);
-    const std::vector<int64_t> zero(d, 0);
-    for (size_t j = 0; j < num_clients; ++j) {
-      const SharedVector share = protocol.ShareFromParty(
-          j, Field::EncodeVector(j == me ? my_noise : zero));
-      SQM_ASSIGN_OR_RETURN(sum, protocol.Add(sum, share));
-    }
-  }
-  const double inject_seconds = SecondsSince(inject_start);
-
-  SqmReport report;
-  report.raw = std::move(raw);
-  report.estimate.resize(d);
-  for (size_t t = 0; t < d; ++t) {
-    report.estimate[t] =
-        static_cast<double>(report.raw[t]) / qf.output_scale;
-  }
-  report.network = transport->stats();
-  report.transport = transport->Snapshot();
-  report.timing.quantize_seconds = quantize_seconds;
-  report.timing.noise_sampling_seconds = noise_seconds;
-  report.timing.mpc_compute_seconds = compute_seconds;
-  report.timing.simulated_network_seconds = transport->SimulatedSeconds();
-  report.timing.noise_injection_seconds = noise_seconds + inject_seconds;
-
-  // ---- Dropout accounting: byte-for-byte the driver's computation —
-  // every input (survivor census, mu, sensitivities, delta) is public, so
-  // all surviving parties report the same realized guarantee.
-  DropoutReport& dropout = report.dropout;
-  dropout.policy = policy;
-  dropout.num_parties = num_clients;
-  dropout.num_dropped = num_dropped_final;
-  if (policy != DropoutPolicy::kAbort) {
-    dropout.survivors = tracker.Survivors();
-  } else {
-    dropout.survivors.resize(num_clients);
-    for (size_t j = 0; j < num_clients; ++j) dropout.survivors[j] = j;
-  }
-  dropout.configured_mu = config.mu;
-  dropout.topup_mu = topup_mu;
-  dropout.realized_mu =
-      config.mu > 0.0
-          ? SkellamMuWithDropouts(config.mu, num_clients,
-                                  num_dropped_final) +
-                topup_mu
-          : 0.0;
-  dropout.delta = config.dp_delta;
-  dropout.mpc_attempts = attempts;
-  dropout.resumed_from_level = resumed_from_level;
-  if (config.mu > 0.0) {
-    dropout.configured_epsilon = SkellamEpsilonSingleRelease(
-        config.mu, sensitivity.l1, sensitivity.l2, config.dp_delta);
-    if (dropout.realized_mu > 0.0) {
-      PrivacyAccountant accountant;
-      accountant.SetLedgerContext(config.dp_delta, config.gamma, d);
-      accountant.AddSkellamWithDropouts(
-          "sqm_release", sensitivity.l1, sensitivity.l2, config.mu,
-          num_clients, num_dropped_final);
-      if (topup_mu > 0.0) {
-        accountant.Reset();
-        accountant.AddSkellam("sqm_release", sensitivity.l1,
-                              sensitivity.l2, dropout.realized_mu);
-      }
-      SQM_ASSIGN_OR_RETURN(const PrivacyGuarantee guarantee,
-                           accountant.TotalGuarantee(config.dp_delta));
-      dropout.realized_epsilon = guarantee.epsilon;
-      dropout.best_alpha = guarantee.best_alpha;
-      report.ledger = accountant.ledger();
-    } else {
-      dropout.realized_epsilon = std::numeric_limits<double>::infinity();
-    }
-  }
-  return report;
+  return FinishSqmReport(f, options, inputs, num_clients, tracker,
+                         *transport, std::move(outcome));
 }
 
 }  // namespace sqm

@@ -20,7 +20,7 @@ size_t DeploymentCols(const DeploymentConfig& config);
 /// `data_seed` with every record normalized to ||x||_2 <= 1 (the paper's
 /// precondition with the default record_norm_bound). Deterministic, so the
 /// coordinator's in-process comparison run and every party generate the
-/// SAME matrix; a party then keeps only its own ClientColumnRange columns.
+/// SAME matrix; a party then quantizes only its own columns.
 Matrix GenerateDeploymentMatrix(size_t rows, size_t cols,
                                 uint64_t data_seed);
 
@@ -52,25 +52,13 @@ struct PartySqmHooks {
 
 /// Runs party `me`'s side of the full SQM mechanism (Algorithm 3) over
 /// `transport` and returns this party's copy of the report. The networked
-/// counterpart of SqmEvaluator::Evaluate with backend kBgw:
-///
-///  - quantizes the public coefficients identically to the driver (the
-///    coefficient RNG stream is derived from the shared seed),
-///  - quantizes ONLY its own columns and samples ONLY its own Skellam
-///    noise share, replaying the driver's RNG split sequence so the values
-///    equal the ones driver mode would have assigned to this party,
-///  - builds the same arithmetic circuit (public structure) and evaluates
-///    it with PartyEngine, so the released values are BIT-IDENTICAL to a
-///    driver-mode run of the same config,
-///  - reproduces the driver's dropout accounting: every input to the
-///    realized-(epsilon, delta) computation is public (survivor census,
-///    mu, sensitivities), so all surviving parties — and the coordinator —
-///    report the same guarantee.
-///
-/// The report's noise_injection timing comes from a local zero-noise probe
-/// of the same shape as the driver's (a party cannot know the other
-/// parties' noise vectors): the TIMING is representative, the probe values
-/// are not compared anywhere.
+/// counterpart of SqmEvaluator::Evaluate with backend kBgw: it converts
+/// `config` with SqmOptionsFromDeployment and calls the same session code
+/// (core/sqm_session.h) for validation, quantization, noise, the circuit,
+/// the top-up and the accounting, keeping only its own columns and noise.
+/// Only the engine differs: PartyEngine evaluates party `me`'s share of the
+/// circuit, so the released values and the report's dropout block and
+/// ledger are bit-identical to a driver-mode run of the same config.
 ///
 /// `transport` must already be connected (see TcpTransport::Create) and
 /// have num_parties() == config.parties.size().

@@ -29,7 +29,8 @@ int64_t NearestRound(double value, double scale) {
   return static_cast<int64_t>(std::llround(value * scale));
 }
 
-QuantizedDatabase QuantizeDatabase(const Matrix& x, double gamma, Rng& rng) {
+QuantizedDatabase QuantizeDatabase(const Matrix& x, double gamma, Rng& rng,
+                                   size_t begin, size_t end) {
   QuantizedDatabase db;
   db.rows = x.rows();
   db.cols = x.cols();
@@ -37,7 +38,9 @@ QuantizedDatabase QuantizeDatabase(const Matrix& x, double gamma, Rng& rng) {
   for (size_t j = 0; j < x.cols(); ++j) {
     // Each client rounds with its own independent randomness.
     Rng client_rng = rng.Split(j);
-    db.columns[j] = StochasticRoundVector(x.Col(j), gamma, client_rng);
+    if (j >= begin && j < end) {
+      db.columns[j] = StochasticRoundVector(x.Col(j), gamma, client_rng);
+    }
   }
   return db;
 }

@@ -38,10 +38,14 @@ struct QuantizedDatabase {
   int64_t at(size_t i, size_t j) const { return columns[j][i]; }
 };
 
-/// Quantizes every column of `x` with scaling factor gamma. Each column
-/// uses an independent RNG stream split from `rng`, mirroring the fact that
-/// each client rounds privately with its own randomness.
-QuantizedDatabase QuantizeDatabase(const Matrix& x, double gamma, Rng& rng);
+/// Quantizes the columns [begin, end) of `x` with scaling factor gamma and
+/// leaves the others empty. Each column uses an independent RNG stream
+/// split from `rng`, mirroring the fact that each client rounds privately
+/// with its own randomness. Every column's split is taken, so a client that
+/// rounds only its own columns gets the values a full run gives them.
+QuantizedDatabase QuantizeDatabase(const Matrix& x, double gamma, Rng& rng,
+                                   size_t begin = 0,
+                                   size_t end = static_cast<size_t>(-1));
 
 /// One quantized monomial of one output dimension.
 struct QuantizedMonomial {

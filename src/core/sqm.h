@@ -16,6 +16,8 @@
 
 namespace sqm {
 
+struct SqmInputs;  // core/sqm_session.h
+
 /// Which engine evaluates the quantized polynomial on shares.
 enum class MpcBackend {
   /// Real BGW execution over the simulated network (faithful message
@@ -62,14 +64,6 @@ const char* MulBackendToString(MulBackend backend);
 
 /// Inverse of MulBackendToString; kInvalidArgument on unknown names.
 Result<MulBackend> MulBackendFromString(const std::string& name);
-
-/// Columns owned by client `j` when `cols` attributes are evenly split
-/// among `num_clients` clients (contiguous blocks, remainder to the first
-/// clients). Shared by the driver evaluator and the per-party session
-/// (core/party_sqm.h): both must carve the same partition or their circuit
-/// input schedules diverge.
-std::pair<size_t, size_t> ClientColumnRange(size_t j, size_t cols,
-                                            size_t num_clients);
 
 /// Inverse of DropoutPolicyToString; kInvalidArgument on unknown names.
 Result<DropoutPolicy> DropoutPolicyFromString(const std::string& name);
@@ -180,8 +174,9 @@ struct SqmTiming {
   double mpc_compute_seconds = 0.0;
   /// Simulated network latency (rounds * per-round latency).
   double simulated_network_seconds = 0.0;
-  /// Wall time spent aggregating the noise shares inside the protocol —
-  /// the paper's "time for noise injection" column.
+  /// The paper's "time for noise injection" column: the sampling time
+  /// (noise_sampling_seconds). The noise shares ride in the data's input
+  /// round and join the same output sums, so DP adds no protocol step.
   double noise_injection_seconds = 0.0;
 
   double TotalSeconds() const {
@@ -260,18 +255,10 @@ class SqmEvaluator {
   const SqmOptions& options() const { return options_; }
 
  private:
-  Result<SqmReport> EvaluatePlaintext(const QuantizedPolynomial& qf,
-                                      const QuantizedDatabase& db,
-                                      const std::vector<std::vector<int64_t>>&
-                                          noise_per_client,
-                                      double quantize_seconds,
-                                      double noise_seconds);
-  Result<SqmReport> EvaluateBgw(const QuantizedPolynomial& qf,
-                                const QuantizedDatabase& db,
-                                const std::vector<std::vector<int64_t>>&
-                                    noise_per_client,
-                                double quantize_seconds, double noise_seconds,
-                                const SensitivityBound& sensitivity);
+  Result<SqmReport> EvaluatePlaintext(const SqmInputs& inputs);
+  /// Runs BgwEngine for all parties, with checkpoint retries.
+  Result<SqmReport> EvaluateBgw(const PolynomialVector& f,
+                                const SqmInputs& inputs, size_t num_clients);
 
   SqmOptions options_;
 };

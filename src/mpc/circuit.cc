@@ -15,7 +15,10 @@ Circuit::WireId Circuit::AddInput(size_t party) {
   Gate gate{};
   gate.kind = GateKind::kInput;
   gate.owner = party;
-  gate.input_index = NumInputsForParty(party);
+  if (party >= inputs_per_party_.size()) {
+    inputs_per_party_.resize(party + 1, 0);
+  }
+  gate.input_index = inputs_per_party_[party]++;
   return Push(gate);
 }
 
@@ -69,11 +72,7 @@ void Circuit::MarkOutput(WireId wire) {
 }
 
 size_t Circuit::NumInputsForParty(size_t party) const {
-  size_t count = 0;
-  for (const Gate& gate : gates_) {
-    if (gate.kind == GateKind::kInput && gate.owner == party) ++count;
-  }
-  return count;
+  return party < inputs_per_party_.size() ? inputs_per_party_[party] : 0;
 }
 
 size_t Circuit::MultiplicativeDepth() const {

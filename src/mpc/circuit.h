@@ -76,6 +76,8 @@ class Circuit {
 
   std::vector<Gate> gates_;
   std::vector<WireId> outputs_;
+  /// inputs_per_party_[j]: inputs declared so far for party j.
+  std::vector<size_t> inputs_per_party_;
   size_t num_mul_ = 0;
 };
 

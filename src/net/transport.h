@@ -1,7 +1,6 @@
 #ifndef SQM_NET_TRANSPORT_H_
 #define SQM_NET_TRANSPORT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -61,8 +60,8 @@ class MessageInterceptor {
 
 /// Abstract pairwise message transport between `num_parties` parties.
 ///
-/// This is the seam between protocol logic (BgwProtocol, SecAgg, the SQM
-/// pipeline) and the execution model. The same protocol code runs over
+/// This is the seam between protocol logic (BgwProtocol, the SQM pipeline)
+/// and the execution model. The same protocol code runs over
 ///  - LockstepTransport: the paper's single-machine simulation — queues in
 ///    program order, a simulated clock advancing per round,
 ///  - ThreadedTransport: concurrent parties, lossy/delayed links, blocking
@@ -141,18 +140,6 @@ class Transport {
   void SetInterceptor(MessageInterceptor* interceptor);
   MessageInterceptor* interceptor() const;
 
-  /// Whether this transport mirrors its accounting into the global
-  /// obs::Registry ("net.send.*", "net.fault.*", ... — on by default).
-  /// Scratch transports (e.g. the SQM driver's noise-injection timing
-  /// probe) turn this off so the registry's traffic counters stay exactly
-  /// reconcilable with the main transport's TransportStats.
-  void set_registry_accounting(bool on) {
-    registry_accounting_.store(on, std::memory_order_relaxed);
-  }
-  bool registry_accounting() const {
-    return registry_accounting_.load(std::memory_order_relaxed);
-  }
-
  protected:
   /// Bounds-check helper: aborts on an out-of-range party index.
   void CheckParty(size_t from, size_t to) const;
@@ -212,7 +199,6 @@ class Transport {
   const double per_round_latency_;
   const size_t element_wire_bytes_;
   const std::chrono::steady_clock::time_point start_;
-  std::atomic<bool> registry_accounting_{true};
 
   mutable Mutex mu_;
   MessageInterceptor* interceptor_ SQM_GUARDED_BY(mu_) = nullptr;

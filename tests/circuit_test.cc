@@ -13,6 +13,27 @@ TEST(CircuitTest, InputBookkeeping) {
   EXPECT_EQ(c.NumInputsForParty(0), 2u);
   EXPECT_EQ(c.NumInputsForParty(1), 1u);
   EXPECT_EQ(c.NumInputsForParty(2), 0u);
+
+  // Interleaved declarations across parties, with gates in between: each
+  // input's index counts only its own party's earlier inputs.
+  const auto a = c.AddInput(2);
+  const auto b = c.AddInput(1);
+  c.AddAdd(a, b);
+  const auto d = c.AddInput(4);
+  const auto e = c.AddInput(2);
+  const auto f = c.AddInput(0);
+  EXPECT_EQ(c.gates()[a].input_index, 0u);
+  EXPECT_EQ(c.gates()[b].input_index, 1u);
+  EXPECT_EQ(c.gates()[d].input_index, 0u);
+  EXPECT_EQ(c.gates()[e].input_index, 1u);
+  EXPECT_EQ(c.gates()[f].input_index, 2u);
+  EXPECT_EQ(c.gates()[e].owner, 2u);
+  EXPECT_EQ(c.NumInputsForParty(0), 3u);
+  EXPECT_EQ(c.NumInputsForParty(1), 2u);
+  EXPECT_EQ(c.NumInputsForParty(2), 2u);
+  EXPECT_EQ(c.NumInputsForParty(3), 0u);
+  EXPECT_EQ(c.NumInputsForParty(4), 1u);
+  EXPECT_EQ(c.NumInputsForParty(5), 0u);
 }
 
 TEST(CircuitTest, GateCountsAndKinds) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mpc/field.h"
 #include "vfl/dataset.h"
 #include "vfl/synthetic.h"
 
@@ -128,6 +129,21 @@ TEST(LogisticTest, SqmRejectsHigherTaylorOrder) {
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
+}
+
+TEST(LogisticTest, SqmBgwNetworkTotalsIncludeWireBytes) {
+  // Every round's traffic, wire bytes included, is summed into the result.
+  const TrainTestSplit split = EasyTask(200, 3);
+  LogisticOptions options = FastOptions();
+  options.backend = MpcBackend::kBgw;
+  options.rounds = 3;
+  options.sample_rate = 0.1;
+  options.gamma = 16.0;
+  const LogisticResult result =
+      TrainSqmLogistic(split.train, split.test, options).ValueOrDie();
+  EXPECT_GT(result.network.field_elements, 0u);
+  EXPECT_EQ(result.network.wire_bytes,
+            result.network.field_elements * Field::kWireBytes);
 }
 
 TEST(LogisticTest, ValidatesInputs) {

@@ -106,6 +106,53 @@ sqm::SqmReport RunLockstep(const sqm::DeploymentConfig& config) {
   return report.ok() ? report.ValueOrDie() : sqm::SqmReport();
 }
 
+/// The networked report's dropout block and privacy ledger must equal the
+/// in-process reference field for field: both drivers run the same
+/// accounting code on the same public inputs. Ledger timestamps
+/// (elapsed_seconds) are wall-clock and the only field left out.
+void ExpectSameAccounting(const sqm::SqmReport& got,
+                          const sqm::SqmReport& want) {
+  const sqm::DropoutReport& a = got.dropout;
+  const sqm::DropoutReport& b = want.dropout;
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.num_parties, b.num_parties);
+  EXPECT_EQ(a.survivors, b.survivors);
+  EXPECT_EQ(a.num_dropped, b.num_dropped);
+  EXPECT_EQ(a.configured_mu, b.configured_mu);
+  EXPECT_EQ(a.realized_mu, b.realized_mu);
+  EXPECT_EQ(a.topup_mu, b.topup_mu);
+  EXPECT_EQ(a.configured_epsilon, b.configured_epsilon);
+  EXPECT_EQ(a.realized_epsilon, b.realized_epsilon);
+  EXPECT_EQ(a.delta, b.delta);
+  EXPECT_EQ(a.best_alpha, b.best_alpha);
+  EXPECT_EQ(a.mpc_attempts, b.mpc_attempts);
+  EXPECT_EQ(a.resumed_from_level, b.resumed_from_level);
+
+  ASSERT_EQ(got.ledger.size(), want.ledger.size());
+  for (size_t i = 0; i < got.ledger.size(); ++i) {
+    SCOPED_TRACE("ledger entry " + std::to_string(i));
+    const sqm::obs::LedgerEntry& x = got.ledger[i];
+    const sqm::obs::LedgerEntry& y = want.ledger[i];
+    EXPECT_EQ(x.sequence, y.sequence);
+    EXPECT_EQ(x.mechanism, y.mechanism);
+    EXPECT_EQ(x.label, y.label);
+    EXPECT_EQ(x.mu, y.mu);
+    EXPECT_EQ(x.gamma, y.gamma);
+    EXPECT_EQ(x.dimension, y.dimension);
+    EXPECT_EQ(x.l1_sensitivity, y.l1_sensitivity);
+    EXPECT_EQ(x.l2_sensitivity, y.l2_sensitivity);
+    EXPECT_EQ(x.sampling_rate, y.sampling_rate);
+    EXPECT_EQ(x.count, y.count);
+    EXPECT_EQ(x.epsilon, y.epsilon);
+    EXPECT_EQ(x.delta, y.delta);
+    EXPECT_EQ(x.best_alpha, y.best_alpha);
+    EXPECT_EQ(x.cumulative_epsilon, y.cumulative_epsilon);
+    EXPECT_EQ(x.contributors, y.contributors);
+    EXPECT_EQ(x.expected_contributors, y.expected_contributors);
+    EXPECT_EQ(x.deficit_mu, y.deficit_mu);
+  }
+}
+
 /// A config with the supervised-recovery knobs set to sensible values, as
 /// the chaos suite deploys them. Serializing and re-parsing it is how the
 /// coordinator actually hands configs to daemons, so the validation tests
@@ -238,11 +285,13 @@ TEST(PartyProtocol, NoisyQuantizedRunMatchesLockstepBitForBit) {
   const sqm::SqmReport reference = RunLockstep(config);
   ASSERT_FALSE(reference.raw.empty());
   EXPECT_EQ(reports[0].raw, reference.raw);
-  // The DP ledger is recomputed from public inputs on both sides; it must
-  // agree exactly as well.
-  EXPECT_EQ(reports[0].dropout.realized_mu, reference.dropout.realized_mu);
-  EXPECT_EQ(reports[0].dropout.realized_epsilon,
-            reference.dropout.realized_epsilon);
+  // The DP accounting is computed from public inputs on both sides; it
+  // must agree exactly as well, on every party.
+  ASSERT_EQ(reference.ledger.size(), 1u);
+  for (size_t i = 0; i < reports.size(); ++i) {
+    SCOPED_TRACE("party " + std::to_string(i));
+    ExpectSameAccounting(reports[i], reference);
+  }
 }
 
 TEST(PartyProtocol, FourPartiesWithThresholdOne) {
@@ -262,6 +311,11 @@ TEST(PartyProtocol, FourPartiesWithThresholdOne) {
   EXPECT_EQ(reports[0].raw, reference.raw);
   // Nothing dropped: full noise, full quorum.
   EXPECT_EQ(reports[0].dropout.num_dropped, 0u);
+  ASSERT_EQ(reference.ledger.size(), 1u);
+  for (size_t i = 0; i < reports.size(); ++i) {
+    SCOPED_TRACE("party " + std::to_string(i));
+    ExpectSameAccounting(reports[i], reference);
+  }
 }
 
 }  // namespace

@@ -943,6 +943,21 @@ Result<SqmReport> SqmEvaluator::Evaluate(const Query& q) {
   EXPECT_EQ(Active(findings, "dp-spend-coverage"), 0);
 }
 
+TEST(DpSpendCoverage, SeesDrawsBehindNestedTemplateReturnTypes) {
+  // The helper's return type closes two template levels with one '>>'
+  // token; it is still a definition, so its draw stays in scope.
+  const auto findings = Lint("src/core/sqm.cc", R"cpp(
+std::vector<std::vector<int64_t>> DrawAll(Rng& rng) {
+  return {SampleVector(rng, 4)};
+}
+Result<SqmReport> SqmEvaluator::Evaluate(const Query& q) {
+  auto noise = DrawAll(rng_);
+  return Ok(noise);
+}
+)cpp");
+  EXPECT_EQ(Active(findings, "dp-spend-coverage"), 1);
+}
+
 TEST(DpSpendCoverage, DrawNotReachableFromDriverIsOutOfScope) {
   const auto findings = Lint("src/vfl/x.cc", R"cpp(
 int64_t Jitter(Rng& rng) {

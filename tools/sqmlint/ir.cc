@@ -151,10 +151,11 @@ std::vector<FunctionIR> BuildFileIR(const SourceFile& file) {
     // A call used as a value (preceded by '=', '(', ',', 'return', an
     // operator...) is not a definition; definitions are preceded by a
     // type-ish token, '::', '}', ';', '{', or nothing. Cheap filter: the
-    // previous token must not be a punct that implies an expression.
+    // previous token must not be a punct that implies an expression. A
+    // return type closing two template levels at once ends in '>>'.
     if (i > 0 && toks[i - 1].kind == TokenKind::kPunct) {
-      static const std::set<std::string> kDefPreceders = {"}", ";", "{", "::",
-                                                          "*", "&", ">"};
+      static const std::set<std::string> kDefPreceders = {
+          "}", ";", "{", "::", "*", "&", ">", ">>"};
       if (kDefPreceders.count(toks[i - 1].text) == 0) continue;
     }
     if (i > 0 && IsIdent(toks[i - 1]) &&

@@ -26,13 +26,12 @@ bool IsIdent(const Token& t) { return t.kind == TokenKind::kIdentifier; }
 
 /// Calls whose *name alone* marks the result secret, independent of
 /// resolution — the protocol boundary API: Shamir sharing, Beaver triple
-/// deals, SecAgg pair masks, sampler draws. Resolution-based sources
+/// deals, sampler draws. Resolution-based sources
 /// (anything defined under src/sampling/ whose name starts with Sample)
 /// extend this set per project.
 const std::set<std::string>& SourceCallNames() {
   static const std::set<std::string> kNames = {
-      "Share",     "ShareBatch", "Sample",  "SampleVector",
-      "Deal",      "DealBatch",  "PairMask"};
+      "Share", "ShareBatch", "Sample", "SampleVector", "Deal", "DealBatch"};
   return kNames;
 }
 

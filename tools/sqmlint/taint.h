@@ -31,8 +31,8 @@ struct FlowFinding {
 ///      its return value carries — bit 0 for "derived from a secret
 ///      source inside the callee (or below)", bit i+1 for "flows from
 ///      parameter i". Computed to a global fixpoint.
-///   2. *Real taint*: sources (ShamirScheme::Share*, Beaver deals, SecAgg
-///      pair masks, sampler draws) seed concrete taint, which flows
+///   2. *Real taint*: sources (ShamirScheme::Share*, Beaver deals,
+///      sampler draws) seed concrete taint, which flows
 ///      through assignments, call returns (via the summaries) and call
 ///      arguments (marking callee parameters tainted, with provenance),
 ///      again to a fixpoint.
