@@ -21,11 +21,8 @@
 // BENCH_beaver_vs_grr.json).
 
 #include <chrono>
-#include "mpc/network.h"
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -33,9 +30,7 @@
 #include "core/sqm.h"
 #include "mpc/beaver.h"
 #include "mpc/protocol.h"
-#include "net/tcp/party_config.h"
-#include "net/tcp/socket.h"
-#include "net/tcp/tcp_transport.h"
+#include "net/lockstep.h"
 #include "poly/parser.h"
 
 namespace sqm {
@@ -66,19 +61,14 @@ struct RoundCounts {
   uint64_t beaver_census_messages = 0;
 };
 
-struct PartyRun {
-  bool ok = false;
-  SqmReport report;  ///< Party 0's report.
-};
-
-/// Runs every party of a 3-party degrade-policy deployment as a thread
-/// over real loopback TCP (the sqm-party daemon path, where the quorum
-/// census actually goes on the wire) and returns party 0's report.
-PartyRun RunQuorumTcp(const std::string& backend, uint64_t run_id) {
-  PartyRun result;
+/// Runs the same small SQM release in-process on the quorum
+/// (dropout_policy=degrade) path under both Mul backends and reports the
+/// transport round counters: GRR needs a sub-share exchange plus a census
+/// round per multiplication level, Beaver one packed opening and no
+/// census at all. The census message counts cover every party.
+RoundCounts CountQuorumRounds() {
+  RoundCounts counts;
   DeploymentConfig config;
-  config.run_id = run_id;
-  config.session_key = 0xbea7e5;
   config.parties.assign(3, {"127.0.0.1", 0});
   config.rows = 8;
   config.cols = 3;
@@ -87,72 +77,36 @@ PartyRun RunQuorumTcp(const std::string& backend, uint64_t run_id) {
   config.gamma = 64;
   config.mu = 4.0;
   config.seed = 42;
-  config.mul_backend = backend;
   config.dropout_policy = "degrade";
-  config.receive_timeout_seconds = 1.0;
-  config.connect_timeout_seconds = 10.0;
+  const Result<PolynomialVector> f = ParsePolynomialVector(config.polynomial);
+  if (!f.ok()) return counts;
+  const Matrix x =
+      GenerateDeploymentMatrix(config.rows, config.cols, config.data_seed);
 
-  const size_t n = config.parties.size();
-  std::vector<net::Socket> listeners;
-  for (size_t i = 0; i < n; ++i) {
-    Result<net::Socket> listener = net::ListenOn("127.0.0.1", 0);
-    if (!listener.ok()) return result;
-    Result<uint16_t> port = net::LocalPort(listener.ValueOrDie());
-    if (!port.ok()) return result;
-    config.parties[i].port = port.ValueOrDie();
-    listeners.push_back(std::move(listener.ValueOrDie()));
+  SqmReport reports[2];
+  const char* backends[2] = {"grr", "beaver"};
+  for (int i = 0; i < 2; ++i) {
+    config.mul_backend = backends[i];
+    const Result<SqmOptions> options = SqmOptionsFromDeployment(config);
+    if (!options.ok()) return counts;
+    Result<SqmReport> report =
+        SqmEvaluator(options.ValueOrDie()).Evaluate(f.ValueOrDie(), x);
+    if (!report.ok()) return counts;
+    reports[i] = std::move(report).ValueOrDie();
   }
-  std::vector<SqmReport> reports(n);
-  // Not vector<bool>: parties write concurrently, and its bit packing
-  // would make neighboring writes race.
-  std::vector<char> party_ok(n, 0);
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < n; ++i) {
-    const int fd = listeners[i].Release();
-    threads.emplace_back([&, i, fd] {
-      Result<std::unique_ptr<TcpTransport>> transport =
-          TcpTransport::Create(TcpOptionsFromDeployment(config, i, fd));
-      if (!transport.ok()) return;
-      Result<SqmReport> report =
-          RunPartySqm(config, i, transport.ValueOrDie().get());
-      transport.ValueOrDie()->Shutdown();
-      if (!report.ok()) return;
-      reports[i] = report.ValueOrDie();
-      party_ok[i] = 1;
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (size_t i = 0; i < n; ++i) {
-    if (!party_ok[i]) return result;
-  }
-  result.ok = true;
-  result.report = reports[0];
-  return result;
-}
-
-/// Runs the same SQM release on the networked quorum
-/// (dropout_policy=degrade) path under both Mul backends and reports the
-/// transport round counters: GRR needs a sub-share exchange plus a census
-/// round per multiplication level, Beaver one packed opening and no
-/// census at all. (The in-process driver sees every dealer directly and
-/// skips the census, so the halving is only visible here.)
-RoundCounts CountQuorumRounds() {
-  RoundCounts counts;
-  if (!net::TcpSupported()) return counts;
-  const PartyRun grr = RunQuorumTcp("grr", 9101);
-  const PartyRun beaver = RunQuorumTcp("beaver", 9102);
-  if (!grr.ok || !beaver.ok) return counts;
-  if (grr.report.raw != beaver.report.raw) return counts;
+  const SqmReport& grr = reports[0];
+  const SqmReport& beaver = reports[1];
+  if (grr.raw != beaver.raw) return counts;
 
   counts.ok = true;
-  counts.grr_rounds = grr.report.network.rounds;
-  counts.beaver_rounds = beaver.report.network.rounds;
-  for (const PhaseStats& phase : grr.report.transport.phases) {
+  counts.grr_rounds = grr.network.rounds;
+  counts.beaver_rounds = beaver.network.rounds;
+  for (const PhaseStats& phase : grr.transport.phases) {
     if (phase.phase == "census") {
       counts.grr_census_messages = phase.traffic.messages;
     }
   }
-  for (const PhaseStats& phase : beaver.report.transport.phases) {
+  for (const PhaseStats& phase : beaver.transport.phases) {
     if (phase.phase == "census") {
       counts.beaver_census_messages = phase.traffic.messages;
     }
@@ -216,15 +170,15 @@ int main(int argc, char** argv) {
                             ? std::vector<size_t>{1024, 16384}
                             : std::vector<size_t>{256, 4096}) {
       const size_t threshold = (parties - 1) / 2;
-      SimulatedNetwork network(parties, 0.0);
+      LockstepTransport network(parties, 0.0, Field::kWireBytes);
       BgwProtocol protocol(ShamirScheme(parties, threshold), &network, 3);
       BeaverTripleDealer dealer(ShamirScheme(parties, threshold), 4);
       BeaverMultiplier beaver(&protocol, &dealer);
 
       std::vector<Field::Element> values(batch);
       for (size_t i = 0; i < batch; ++i) values[i] = i + 1;
-      const SharedVector x = protocol.ShareFromParty(0, values);
-      const SharedVector y = protocol.ShareFromParty(1, values);
+      const SharedVector x = protocol.ShareFromParty(0, values).ValueOrDie();
+      const SharedVector y = protocol.ShareFromParty(1, values).ValueOrDie();
 
       // GRR timing.
       NetworkStats before = network.stats();

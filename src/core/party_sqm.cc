@@ -9,9 +9,9 @@
 
 #include "core/logging.h"
 #include "core/sqm_session.h"
+#include "mpc/bgw.h"
 #include "mpc/checkpoint_store.h"
 #include "mpc/field.h"
-#include "mpc/party_protocol.h"
 #include "mpc/shamir.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -140,8 +140,8 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
 
   const Circuit circuit =
       BuildSqmCircuit(inputs.qf, config.rows, cols, num_clients);
-  PartyEngine engine(ShamirScheme(num_clients, threshold), transport,
-                     options.seed ^ 0xb9d7, me);
+  BgwEngine engine(ShamirScheme(num_clients, threshold), transport,
+                   options.seed ^ 0xb9d7, {me});
   engine.set_mul_level_hook(hooks.mul_level_hook);
   const DropoutPolicy policy = options.dropout_policy;
   const size_t quorum = 2 * threshold + 1;
@@ -157,10 +157,10 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
                                 policy != DropoutPolicy::kAbort;
   const uint64_t fingerprint = ConfigFingerprint(config);
   const CheckpointStore store(hooks.checkpoint_dir);
-  PartyCheckpoint checkpoint;
+  BgwCheckpoint checkpoint;
   if (recovery_enabled) {
-    engine.protocol().set_recovery_mode(true);
-    engine.set_checkpoint_sink([&](const PartyCheckpoint& ckpt) {
+    SQM_RETURN_NOT_OK(engine.protocol().EnableRecoveryMode());
+    engine.set_checkpoint_sink([&](const BgwCheckpoint& ckpt) {
       DurableCheckpoint snap;
       snap.run_id = config.run_id;
       snap.party = static_cast<uint32_t>(me);
@@ -169,7 +169,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
       snap.valid = ckpt.valid;
       snap.next_level = ckpt.next_level;
       snap.mul_rounds_done = ckpt.mul_rounds_done;
-      snap.wire_shares = ckpt.wire_shares;
+      snap.wire_shares = ckpt.wire_shares[me];
       engine.protocol().SaveRngState(snap.rng_state);
       const Status saved = store.Save(snap);
       SQM_FLIGHT_EVENT2("ckpt", saved.ok() ? "saved" : "save_failed",
@@ -194,7 +194,8 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
         checkpoint.next_level = static_cast<size_t>(snap->next_level);
         checkpoint.mul_rounds_done =
             static_cast<size_t>(snap->mul_rounds_done);
-        checkpoint.wire_shares = std::move(snap->wire_shares);
+        checkpoint.wire_shares.assign(num_clients, {});
+        checkpoint.wire_shares[me] = std::move(snap->wire_shares);
         engine.protocol().RestoreRngState(snap->rng_state);
       } else {
         SQM_LOG(kWarning)
@@ -228,7 +229,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
                          engine.protocol().ResumeBarrier(
                              config.recovery_deadline_seconds, my_encoded));
     if (min_encoded == 0) {
-      checkpoint = PartyCheckpoint{};
+      checkpoint = BgwCheckpoint{};
     } else {
       // min includes our own announcement, so min - 1 <= next_level.
       checkpoint.next_level = static_cast<size_t>(min_encoded - 1);
@@ -243,11 +244,12 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   // usually means a permanent quorum shortfall, so without recovery
   // retries are rare; with recovery, a failed level is the normal
   // rendezvous with a restarted peer.
-  PartyCheckpoint* checkpoint_ptr =
+  BgwCheckpoint* checkpoint_ptr =
       policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
   const size_t max_attempts = MaxMpcAttempts(options);
   const size_t d = f.output_dim();
-  const std::vector<int64_t> my_inputs = PartyInputs(inputs, me, num_clients);
+  std::vector<std::vector<int64_t>> my_inputs(num_clients);
+  my_inputs[me] = PartyInputs(inputs, me, num_clients);
   MpcOutcome outcome;
   if (recovery_enabled && hooks.incarnation > 0) {
     // The peers of this killed-and-respawned party are already waiting at
@@ -262,18 +264,20 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   const auto attempt = [&]() -> Result<std::vector<int64_t>> {
     evaluated = false;
     SQM_ASSIGN_OR_RETURN(
-        PartyProtocol::Shares shares,
+        SharedVector shares,
         engine.EvaluateToShares(circuit, my_inputs, checkpoint_ptr));
     evaluated = true;
     const TopUpPlan topup = PlanTopUp(options, num_clients, tracker);
     const std::vector<std::vector<int64_t>> topup_noise =
         SampleTopUp(options, topup, d, me);
     for (size_t k = 0; k < topup.survivors.size(); ++k) {
+      // Another survivor's draw is known here only by its length.
+      std::vector<Field::Element> values = Field::EncodeVector(topup_noise[k]);
+      values.resize(d);
       SQM_ASSIGN_OR_RETURN(
-          const PartyProtocol::Shares extra_shares,
-          engine.protocol().ShareFromParty(
-              topup.survivors[k], Field::EncodeVector(topup_noise[k]), d,
-              "topup"));
+          const SharedVector extra_shares,
+          engine.protocol().ShareFromParty(topup.survivors[k], values,
+                                           "topup"));
       SQM_ASSIGN_OR_RETURN(shares, engine.protocol().Add(shares, extra_shares));
     }
     outcome.topup_mu = topup.mu;

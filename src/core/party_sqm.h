@@ -29,9 +29,9 @@ Matrix GenerateDeploymentMatrix(size_t rows, size_t cols,
 /// test compares bit-for-bit against the networked run.
 Result<SqmOptions> SqmOptionsFromDeployment(const DeploymentConfig& config);
 
-/// Test/chaos hooks threaded into the per-party engine.
+/// Test/chaos hooks threaded into the party's engine.
 struct PartySqmHooks {
-  /// Forwarded to PartyEngine::set_mul_level_hook; the sqm-party daemon's
+  /// Forwarded to BgwEngine::set_mul_level_hook; the sqm-party daemon's
   /// --crash-at-mul-level uses it to raise SIGKILL mid-protocol.
   std::function<void(size_t)> mul_level_hook;
 
@@ -56,9 +56,10 @@ struct PartySqmHooks {
 /// `config` with SqmOptionsFromDeployment and calls the same session code
 /// (core/sqm_session.h) for validation, quantization, noise, the circuit,
 /// the top-up and the accounting, keeping only its own columns and noise.
-/// Only the engine differs: PartyEngine evaluates party `me`'s share of the
-/// circuit, so the released values and the report's dropout block and
-/// ledger are bit-identical to a driver-mode run of the same config.
+/// Only the engine's hosted set differs: BgwEngine hosts {me} and evaluates
+/// party `me`'s share of the circuit, so the released values and the
+/// report's dropout block and ledger are bit-identical to a driver-mode run
+/// of the same config.
 ///
 /// `transport` must already be connected (see TcpTransport::Create) and
 /// have num_parties() == config.parties.size().

@@ -6,6 +6,7 @@
 #include "core/sqm_session.h"
 #include "mpc/bgw.h"
 #include "mpc/field.h"
+#include "net/lockstep.h"
 #include "obs/trace.h"
 
 namespace sqm {
@@ -140,8 +141,8 @@ Result<SqmReport> SqmEvaluator::EvaluateBgw(const PolynomialVector& f,
     threaded.element_wire_bytes = Field::kWireBytes;
     network = std::make_unique<ThreadedTransport>(num_clients, threaded);
   } else {
-    auto lockstep = std::make_unique<SimulatedNetwork>(
-        num_clients, options_.network_latency_seconds);
+    auto lockstep = std::make_unique<LockstepTransport>(
+        num_clients, options_.network_latency_seconds, Field::kWireBytes);
     // Lockstep honors the crash component of the fault options, so the
     // same dropout scenario runs under both transports.
     lockstep->ScheduleCrashes(options_.threaded.faults.EffectiveCrashes());
@@ -197,7 +198,7 @@ Result<SqmReport> SqmEvaluator::EvaluateBgw(const PolynomialVector& f,
     for (size_t k = 0; k < topup.survivors.size(); ++k) {
       SQM_ASSIGN_OR_RETURN(
           SharedVector extra_shares,
-          engine.protocol().TryShareFromParty(
+          engine.protocol().ShareFromParty(
               topup.survivors[k], Field::EncodeVector(topup_noise[k]),
               "topup"));
       SQM_ASSIGN_OR_RETURN(out_shares,

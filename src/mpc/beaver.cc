@@ -113,7 +113,7 @@ Status BeaverTriplePool::Refill(size_t count,
   if (distinct < needed) {
     return Status::FailedPrecondition(
         "Beaver refill refused: dealing degree-t triples that recombine "
-        "under MulQuorum needs 2t+1 = " + std::to_string(needed) +
+        "under quorum Mul needs 2t+1 = " + std::to_string(needed) +
         " surviving dealers, have " + std::to_string(distinct));
   }
   return Refill(count);
@@ -175,7 +175,8 @@ Result<SharedVector> BeaverMultiplier::Mul(const SharedVector& x,
       dst[k + i] = sy[i];
     }
   }
-  const std::vector<Field::Element> opened = protocol_->Open(packed);
+  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened,
+                       protocol_->Open(packed));
 
   // Local combination: [xy] = [c] + d*[b] + e*[a] + d*e, as three batched
   // multiply-accumulate sweeps over the opened (d, e) halves.

@@ -60,7 +60,7 @@ class BeaverTripleDealer {
 /// Exhaustion is a refusal, never a silent online re-deal: Take past the
 /// dealt budget fails with kFailedPrecondition. Refill is an explicit
 /// offline act, and on the quorum/dropout path it enforces the same
-/// 2t+1 dealer rule as MulQuorum: fewer than 2t+1 surviving parties can
+/// 2t+1 dealer rule as quorum Mul: fewer than 2t+1 surviving parties can
 /// no longer deal degree-t sharings that recombine to a correct product.
 class BeaverTriplePool {
  public:
@@ -89,7 +89,7 @@ class BeaverTriplePool {
   Status Refill(size_t count);
 
   /// Quorum-path refill: refuses with kFailedPrecondition unless at least
-  /// 2t+1 distinct valid parties survive in `survivors` (the MulQuorum
+  /// 2t+1 distinct valid parties survive in `survivors` (the quorum Mul
   /// dealer rule); otherwise deals exactly as Refill(count).
   Status Refill(size_t count, const std::vector<size_t>& survivors);
 

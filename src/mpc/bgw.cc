@@ -9,7 +9,11 @@ namespace sqm {
 
 BgwEngine::BgwEngine(ShamirScheme scheme, Transport* network,
                      uint64_t seed)
-    : protocol_(std::move(scheme), network, seed), network_(network) {}
+    : protocol_(std::move(scheme), network, seed) {}
+
+BgwEngine::BgwEngine(ShamirScheme scheme, Transport* network, uint64_t seed,
+                     std::vector<size_t> hosted)
+    : protocol_(std::move(scheme), network, seed, std::move(hosted)) {}
 
 Result<std::vector<int64_t>> BgwEngine::Evaluate(
     const Circuit& circuit,
@@ -24,15 +28,17 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
     const std::vector<std::vector<int64_t>>& inputs_per_party,
     BgwCheckpoint* checkpoint) {
   const size_t n = protocol_.num_parties();
+  const std::vector<size_t>& hosted = protocol_.hosted();
   SQM_RETURN_NOT_OK(circuit.Validate(n));
   if (inputs_per_party.size() != n) {
     return Status::InvalidArgument("need one input vector per party");
   }
-  for (size_t j = 0; j < n; ++j) {
+  for (size_t j : hosted) {
     if (inputs_per_party[j].size() != circuit.NumInputsForParty(j)) {
       return Status::InvalidArgument(
           "party " + std::to_string(j) + " supplied " +
-          std::to_string(inputs_per_party[j].size()) + " inputs, circuit expects " +
+          std::to_string(inputs_per_party[j].size()) +
+          " inputs, circuit expects " +
           std::to_string(circuit.NumInputsForParty(j)));
     }
   }
@@ -42,7 +48,9 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
   const bool resuming = ckpt->valid;
   const auto& gates = circuit.gates();
 
-  obs::Span evaluate("bgw.evaluate", "mpc");
+  obs::Span evaluate("bgw.evaluate", "mpc",
+                     hosted.size() == 1 ? static_cast<int32_t>(hosted[0])
+                                        : obs::Tracer::CurrentTrack());
   evaluate.AddArg("gates", static_cast<int64_t>(gates.size()));
   evaluate.AddArg("resuming", resuming ? 1 : 0);
   if (resuming && obs::Enabled()) {
@@ -56,53 +64,48 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
   }
 
   if (!resuming) {
-    stats_before_ = network_->stats();
     ckpt->next_level = 0;
     ckpt->mul_rounds_done = 0;
     // wire_shares[party][wire] lives inside the checkpoint: each completed
     // level's results are persisted in place, no copies.
-    ckpt->wire_shares.assign(n,
-                             std::vector<Field::Element>(gates.size(), 0));
+    ckpt->wire_shares.assign(n, {});
+    for (size_t r : hosted) ckpt->wire_shares[r].assign(gates.size(), 0);
 
     // ---- Phase 1: input sharing (one protocol round per contributing
-    // party; each party's inputs are batched into a single message per
-    // recipient). Crashed parties' input shares survive among the live
-    // parties, so a later resume never repeats this phase.
+    // party, in party order; each party's inputs are batched into a single
+    // message per recipient). Crashed parties' input shares survive among
+    // the live parties, so a later resume never repeats this phase.
     for (size_t j = 0; j < n; ++j) {
-      if (inputs_per_party[j].empty()) continue;
-      SharedVector shared;
-      if (protocol_.liveness() != nullptr) {
-        SQM_ASSIGN_OR_RETURN(
-            shared, protocol_.TryShareFromParty(
-                        j, Field::EncodeVector(inputs_per_party[j])));
-      } else if (protocol_.verify_sharings()) {
-        SQM_ASSIGN_OR_RETURN(
-            shared, protocol_.ShareFromPartyChecked(
-                        j, Field::EncodeVector(inputs_per_party[j])));
-      } else {
-        shared = protocol_.ShareFromParty(
-            j, Field::EncodeVector(inputs_per_party[j]));
-      }
+      const size_t count = circuit.NumInputsForParty(j);
+      if (count == 0) continue;
+      // A dealer hosted elsewhere contributes only its (public) count.
+      std::vector<Field::Element> values =
+          Field::EncodeVector(inputs_per_party[j]);
+      values.resize(count);
+      SQM_ASSIGN_OR_RETURN(const SharedVector shared,
+                           protocol_.ShareFromParty(j, values));
       // Scatter this party's input shares onto its input wires.
-      size_t index = 0;
       for (size_t w = 0; w < gates.size(); ++w) {
         const Circuit::Gate& gate = gates[w];
         if (gate.kind == Circuit::GateKind::kInput && gate.owner == j) {
-          for (size_t r = 0; r < n; ++r) {
+          for (size_t r : hosted) {
             ckpt->wire_shares[r][w] = shared.shares(r)[gate.input_index];
           }
-          ++index;
         }
       }
-      SQM_CHECK(index == inputs_per_party[j].size());
     }
     ckpt->valid = true;
+    if (checkpoint_sink_) checkpoint_sink_(*ckpt);
   } else {
     SQM_CHECK(ckpt->wire_shares.size() == n);
-    SQM_CHECK(ckpt->wire_shares[0].size() == gates.size());
+    for (size_t r : hosted) {
+      SQM_CHECK(ckpt->wire_shares[r].size() == gates.size());
+    }
     // Stale sub-shares queued by the aborted round must not mix into the
-    // retry's fresh resharing randomness.
-    protocol_.DrainPending();
+    // retry's fresh resharing randomness. In recovery mode the resume
+    // barrier already flushed them, and a fast peer may ALREADY have dealt
+    // fresh sub-shares for the redo level — draining here would eat them.
+    if (!protocol_.recovery_mode()) protocol_.DrainPending();
   }
 
   std::vector<std::vector<Field::Element>>& wire_shares = ckpt->wire_shares;
@@ -133,7 +136,7 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
 
   auto process_local_gate = [&](size_t w) {
     const Circuit::Gate& gate = gates[w];
-    for (size_t r = 0; r < n; ++r) {
+    for (size_t r : hosted) {
       auto& shares = wire_shares[r];
       switch (gate.kind) {
         case Circuit::GateKind::kConstant:
@@ -167,9 +170,10 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
         }
       }
       if (!mul_wires.empty()) {
-        SharedVector lhs(n, mul_wires.size());
-        SharedVector rhs(n, mul_wires.size());
-        for (size_t r = 0; r < n; ++r) {
+        if (mul_level_hook_) mul_level_hook_(level);
+        SharedVector lhs(n, mul_wires.size(), hosted);
+        SharedVector rhs(n, mul_wires.size(), hosted);
+        for (size_t r : hosted) {
           for (size_t i = 0; i < mul_wires.size(); ++i) {
             lhs.shares(r)[i] = wire_shares[r][gates[mul_wires[i]].lhs];
             rhs.shares(r)[i] = wire_shares[r][gates[mul_wires[i]].rhs];
@@ -178,7 +182,7 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
         // A failed Mul leaves wire_shares at the previous level and
         // ckpt->next_level == level: exactly where a retry must resume.
         SQM_ASSIGN_OR_RETURN(SharedVector products, protocol_.Mul(lhs, rhs));
-        for (size_t r = 0; r < n; ++r) {
+        for (size_t r : hosted) {
           for (size_t i = 0; i < mul_wires.size(); ++i) {
             wire_shares[r][mul_wires[i]] = products.shares(r)[i];
           }
@@ -195,35 +199,22 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
       }
     }
     ckpt->next_level = level + 1;
+    if (checkpoint_sink_) checkpoint_sink_(*ckpt);
   }
 
-  SharedVector out_shares(n, circuit.outputs().size());
-  for (size_t r = 0; r < n; ++r) {
+  SharedVector out_shares(n, circuit.outputs().size(), hosted);
+  for (size_t r : hosted) {
     for (size_t i = 0; i < circuit.outputs().size(); ++i) {
       out_shares.shares(r)[i] = wire_shares[r][circuit.outputs()[i]];
     }
   }
-  last_report_.multiplications = circuit.num_multiplications();
-  last_report_.mul_rounds = ckpt->mul_rounds_done;
   return out_shares;
 }
 
 Result<std::vector<int64_t>> BgwEngine::OpenOutputs(
     const SharedVector& out_shares) {
   // ---- Phase 3: open outputs.
-  std::vector<int64_t> outputs;
-  if (protocol_.liveness() != nullptr) {
-    SQM_ASSIGN_OR_RETURN(outputs, protocol_.TryOpenSigned(out_shares));
-  } else if (protocol_.verify_sharings()) {
-    SQM_ASSIGN_OR_RETURN(outputs, protocol_.OpenSignedChecked(out_shares));
-  } else {
-    outputs = protocol_.OpenSigned(out_shares);
-  }
-  // The network delta spans everything since the fresh EvaluateToShares
-  // start, including any failed attempts retried from a checkpoint — that
-  // is the traffic the run actually cost.
-  last_report_.network = network_->stats() - stats_before_;
-  return outputs;
+  return protocol_.OpenSigned(out_shares);
 }
 
 }  // namespace sqm

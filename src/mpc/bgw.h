@@ -2,6 +2,7 @@
 #define SQM_MPC_BGW_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/status.h"
@@ -13,33 +14,31 @@
 
 namespace sqm {
 
-/// Traffic/round report for one circuit evaluation.
-struct BgwExecutionReport {
-  NetworkStats network;
-  size_t multiplications = 0;
-  size_t mul_rounds = 0;  ///< Communication rounds spent on multiplications.
-};
-
-/// Phase-level checkpoint of one circuit evaluation: the wire shares after
-/// the last fully completed multiplication level. A Mul that fails (quorum
-/// shortfall, timed-out links) leaves the checkpoint at the preceding
-/// level; passing the same checkpoint back into EvaluateToShares resumes
-/// there — input sharing and all completed levels are skipped, and stale
-/// queued sub-shares from the aborted round are drained first.
+/// Phase-level checkpoint of one circuit evaluation: the hosted parties'
+/// wire shares after the last fully completed multiplication level. A Mul
+/// that fails (quorum shortfall, timed-out links) leaves the checkpoint at
+/// the preceding level; passing the same checkpoint back into
+/// EvaluateToShares resumes there — input sharing and all completed levels
+/// are skipped, and stale queued sub-shares from the aborted round are
+/// drained first.
 struct BgwCheckpoint {
   bool valid = false;    ///< Inputs shared; wire_shares meaningful.
   size_t next_level = 0; ///< First multiplication level not yet completed.
-  std::vector<std::vector<Field::Element>> wire_shares;  ///< [party][wire].
+  /// [party][wire]; rows of parties the engine does not host stay empty.
+  std::vector<std::vector<Field::Element>> wire_shares;
   size_t mul_rounds_done = 0;
 };
 
-/// Gate-level BGW evaluator (the paper's Appendix B, three-phase execution).
+/// Gate-level BGW evaluator (the paper's Appendix B, three-phase execution)
+/// for the parties its protocol hosts.
 ///
 /// Phase 1: every party Shamir-shares its private inputs. Phase 2: the
 /// circuit is evaluated on shares — linear gates locally, multiplication
 /// gates via GRR degree reduction, with all multiplications of equal
 /// multiplicative depth batched into a single communication round. Phase 3:
-/// output wires are opened to all parties.
+/// output wires are opened to all parties. Depth assignment and wire order
+/// are pure functions of the circuit, so engines hosting different party
+/// sets exchange exactly the same messages.
 ///
 /// SQM uses this engine as a black box: it hands the engine the quantized
 /// data and the locally sampled Skellam noise as private inputs, and a
@@ -49,13 +48,19 @@ struct BgwCheckpoint {
 /// Dropout tolerance: attach a LivenessTracker (set_liveness) and use the
 /// EvaluateToShares / OpenOutputs split with a BgwCheckpoint. Dead parties
 /// are excluded from every round, multiplications recombine over any 2t+1
-/// usable dealers, and a failed level can be retried from the checkpoint.
+/// census-agreed dealers, and a failed level can be retried from the
+/// checkpoint.
 class BgwEngine {
  public:
-  /// `network` must outlive the engine and match the scheme's party count.
-  /// Any Transport works: the lock-step simulation for deterministic runs,
-  /// a ThreadedTransport for concurrent/faulty execution.
+  /// Hosts every party. `network` must outlive the engine and match the
+  /// scheme's party count. Any Transport works: the lock-step simulation
+  /// for deterministic runs, a ThreadedTransport for concurrent/faulty
+  /// execution.
   BgwEngine(ShamirScheme scheme, Transport* network, uint64_t seed);
+
+  /// Hosts exactly `hosted` — a deployed party process hosts {me}.
+  BgwEngine(ShamirScheme scheme, Transport* network, uint64_t seed,
+            std::vector<size_t> hosted);
 
   /// Evaluates `circuit`. `inputs_per_party[j]` supplies party j's private
   /// inputs as centered signed integers, in input-gate declaration order.
@@ -67,47 +72,53 @@ class BgwEngine {
 
   /// Phases 1 + 2 only: shares inputs, evaluates every gate level, and
   /// returns the output-wire shares unopened (so callers can, e.g., add
-  /// top-up noise shares before release). With a non-null `checkpoint`,
-  /// progress is recorded per completed multiplication level and a
-  /// previously valid checkpoint resumes instead of restarting — input
-  /// sharing is never repeated. An input-phase failure is fatal (a lost
-  /// input has no quorum to reconstruct it) and leaves the checkpoint
-  /// invalid.
+  /// top-up noise shares before release). Only hosted parties' entries of
+  /// `inputs_per_party` are read; the other parties' input counts come
+  /// from the public circuit. With a non-null `checkpoint`, progress is
+  /// recorded per completed multiplication level and a previously valid
+  /// checkpoint resumes instead of restarting — input sharing is never
+  /// repeated. An input-phase failure is fatal (a lost input has no
+  /// quorum to reconstruct it) and leaves the checkpoint invalid.
   Result<SharedVector> EvaluateToShares(
       const Circuit& circuit,
       const std::vector<std::vector<int64_t>>& inputs_per_party,
       BgwCheckpoint* checkpoint = nullptr);
 
-  /// Phase 3: opens output shares to all parties and finalizes
-  /// last_report(). Uses the quorum opening path when a tracker is
-  /// attached.
+  /// Phase 3: opens output shares to all parties.
   Result<std::vector<int64_t>> OpenOutputs(const SharedVector& out_shares);
 
-  /// Attaches a shared failure detector (forwarded to the protocol layer).
+  /// Attaches a failure detector (forwarded to the protocol layer).
   void set_liveness(LivenessTracker* tracker) {
     protocol_.set_liveness(tracker);
   }
 
-  /// Enables conformance verification (forwarded to the protocol layer):
-  /// input sharing, multiplication outputs, and opening all check
-  /// degree-consistency and broadcast agreement, turning any single-message
-  /// wire tamper into a descriptive kIntegrityViolation. Ignored on code
-  /// paths that run with a liveness tracker (the quorum paths have their
-  /// own share-selection semantics).
+  /// Enables conformance verification (forwarded to the protocol layer).
   void set_verify_sharings(bool verify) {
     protocol_.set_verify_sharings(verify);
   }
 
-  BgwProtocol& protocol() { return protocol_; }
+  /// Called at the start of every multiplication level with the level
+  /// index. The sqm-party daemon's --crash-at-mul-level hook (raising
+  /// SIGKILL mid-protocol for the resilience tests) attaches here.
+  void set_mul_level_hook(std::function<void(size_t)> hook) {
+    mul_level_hook_ = std::move(hook);
+  }
 
-  /// Report for the most recent Evaluate call.
-  const BgwExecutionReport& last_report() const { return last_report_; }
+  /// Called with the in-memory checkpoint after the input phase completes
+  /// and again after every completed circuit level. The recovery layer
+  /// attaches a sink that persists a durable snapshot (wire shares + RNG
+  /// cursor) at each of these phase boundaries, so a kill -9 at any point
+  /// loses at most the level in flight.
+  void set_checkpoint_sink(std::function<void(const BgwCheckpoint&)> sink) {
+    checkpoint_sink_ = std::move(sink);
+  }
+
+  BgwProtocol& protocol() { return protocol_; }
 
  private:
   BgwProtocol protocol_;
-  Transport* network_;
-  BgwExecutionReport last_report_;
-  NetworkStats stats_before_;  ///< Captured at fresh EvaluateToShares start.
+  std::function<void(size_t)> mul_level_hook_;
+  std::function<void(const BgwCheckpoint&)> checkpoint_sink_;
 };
 
 }  // namespace sqm

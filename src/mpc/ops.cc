@@ -22,8 +22,10 @@ Result<std::vector<SharedVector>> SecureOps::ShareColumns(
     if (columns[j].size() != m) {
       return Status::InvalidArgument("ShareColumns: ragged columns");
     }
-    shared.push_back(
+    SQM_ASSIGN_OR_RETURN(
+        SharedVector column,
         protocol_->ShareFromParty(j, Field::EncodeVector(columns[j])));
+    shared.push_back(std::move(column));
   }
   return shared;
 }
@@ -47,8 +49,9 @@ Result<std::vector<int64_t>> SecureOps::NoisySum(
     // noise share — one sharing per party, as in Algorithm 1.
     std::vector<int64_t> noisy = contributions[j];
     for (size_t t = 0; t < d; ++t) noisy[t] += noise_per_client[j][t];
-    const SharedVector share =
-        protocol_->ShareFromParty(j, Field::EncodeVector(noisy));
+    SQM_ASSIGN_OR_RETURN(
+        const SharedVector share,
+        protocol_->ShareFromParty(j, Field::EncodeVector(noisy)));
     SQM_ASSIGN_OR_RETURN(total, protocol_->Add(total, share));
   }
   return protocol_->OpenSigned(total);
@@ -114,8 +117,10 @@ Result<std::vector<int64_t>> SecureOps::NoisyCovarianceUpper(
 
   // Add the clients' noise shares (one sharing round per client).
   for (size_t j = 0; j < n; ++j) {
-    const SharedVector noise = protocol_->ShareFromParty(
-        j, Field::EncodeVector(noise_per_client[j]));
+    SQM_ASSIGN_OR_RETURN(
+        const SharedVector noise,
+        protocol_->ShareFromParty(j,
+                                  Field::EncodeVector(noise_per_client[j])));
     SQM_ASSIGN_OR_RETURN(gram, protocol_->Add(gram, noise));
   }
   return protocol_->OpenSigned(gram);
@@ -156,11 +161,15 @@ Result<std::vector<int64_t>> SecureOps::NoisyLogisticGradient(
   std::vector<SharedVector> x_cols;
   x_cols.reserve(d);
   for (size_t j = 0; j < d; ++j) {
-    x_cols.push_back(protocol_->ShareFromParty(
-        j, Field::EncodeVector(inputs.feature_columns[j])));
+    SQM_ASSIGN_OR_RETURN(
+        SharedVector column,
+        protocol_->ShareFromParty(
+            j, Field::EncodeVector(inputs.feature_columns[j])));
+    x_cols.push_back(std::move(column));
   }
-  const SharedVector y =
-      protocol_->ShareFromParty(d, Field::EncodeVector(inputs.labels));
+  SQM_ASSIGN_OR_RETURN(
+      const SharedVector y,
+      protocol_->ShareFromParty(d, Field::EncodeVector(inputs.labels)));
 
   // u_i = sum_j w-hat[j] * x-hat_{i,j}: public weights => local on shares.
   SharedVector u(parties, m);
@@ -212,8 +221,10 @@ Result<std::vector<int64_t>> SecureOps::NoisyLogisticGradient(
 
   // Inject the per-client noise shares.
   for (size_t j = 0; j < parties; ++j) {
-    const SharedVector noise = protocol_->ShareFromParty(
-        j, Field::EncodeVector(inputs.noise_per_client[j]));
+    SQM_ASSIGN_OR_RETURN(
+        const SharedVector noise,
+        protocol_->ShareFromParty(
+            j, Field::EncodeVector(inputs.noise_per_client[j])));
     SQM_ASSIGN_OR_RETURN(grad, protocol_->Add(grad, noise));
   }
   return protocol_->OpenSigned(grad);
@@ -251,11 +262,15 @@ Result<std::vector<int64_t>> SecureOps::NoisyLinearGradient(
   std::vector<SharedVector> x_cols;
   x_cols.reserve(d);
   for (size_t j = 0; j < d; ++j) {
-    x_cols.push_back(protocol_->ShareFromParty(
-        j, Field::EncodeVector(inputs.feature_columns[j])));
+    SQM_ASSIGN_OR_RETURN(
+        SharedVector column,
+        protocol_->ShareFromParty(
+            j, Field::EncodeVector(inputs.feature_columns[j])));
+    x_cols.push_back(std::move(column));
   }
-  const SharedVector y =
-      protocol_->ShareFromParty(d, Field::EncodeVector(inputs.targets));
+  SQM_ASSIGN_OR_RETURN(
+      const SharedVector y,
+      protocol_->ShareFromParty(d, Field::EncodeVector(inputs.targets)));
 
   // u_i = <w-hat, x-hat_i>: local, public weights.
   SharedVector u(parties, m);
@@ -300,8 +315,10 @@ Result<std::vector<int64_t>> SecureOps::NoisyLinearGradient(
     }
   }
   for (size_t j = 0; j < parties; ++j) {
-    const SharedVector noise = protocol_->ShareFromParty(
-        j, Field::EncodeVector(inputs.noise_per_client[j]));
+    SQM_ASSIGN_OR_RETURN(
+        const SharedVector noise,
+        protocol_->ShareFromParty(
+            j, Field::EncodeVector(inputs.noise_per_client[j])));
     SQM_ASSIGN_OR_RETURN(grad, protocol_->Add(grad, noise));
   }
   return protocol_->OpenSigned(grad);

@@ -42,8 +42,10 @@ struct LivenessOptions {
 /// Protocol layers (BgwProtocol, BgwEngine, the SQM pipeline) feed every
 /// receive outcome into one tracker, so a party declared dead during the
 /// input phase is skipped — no further timeout windows burned on it — in
-/// every later multiplication and opening round. Thread-safe: per-party
-/// threads of a ThreadedTransport run may record outcomes concurrently.
+/// every later multiplication and opening round. A BgwProtocol hosting
+/// several parties gives it one verdict per sender per round; a deployed
+/// party keeps its own tracker. Thread-safe: outcomes may be recorded
+/// concurrently.
 class LivenessTracker {
  public:
   explicit LivenessTracker(size_t num_parties,

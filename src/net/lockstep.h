@@ -9,11 +9,12 @@
 namespace sqm {
 
 /// Deterministic single-threaded transport reproducing the paper's
-/// single-machine simulation (and the seed `SimulatedNetwork` semantics
-/// bit-for-bit): messages queue in program order per directed channel, a
-/// Receive with nothing pending hard-fails — in a correct synchronous
-/// protocol every receive is matched by a send in the same round — and the
-/// simulated clock advances by the per-round latency at every EndRound.
+/// single-machine simulation (built with Field::kWireBytes as the element
+/// width for the 61-bit field): messages queue in program order per
+/// directed channel, a Receive with nothing pending hard-fails — in a
+/// correct synchronous protocol every receive is matched by a send in the
+/// same round — and the simulated clock advances by the per-round latency
+/// at every EndRound.
 ///
 /// Not thread-safe for Send/Receive (accounting snapshots are); use
 /// ThreadedTransport for concurrent parties.

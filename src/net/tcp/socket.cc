@@ -112,15 +112,50 @@ Result<uint16_t> LocalPort(const Socket& socket) {
   return static_cast<uint16_t>(ntohs(addr.sin_port));
 }
 
+WakeHandle::WakeHandle() {
+  int fds[2];
+  if (::pipe(fds) != 0) return;
+  read_end_ = Socket(fds[0]);
+  write_end_ = Socket(fds[1]);
+  // Never inherited by a spawned party, and a full pipe never blocks
+  // Signal (one pending byte already wakes every waiter).
+  for (const int fd : fds) {
+    const int rc = ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+    (void)rc;
+  }
+  const int flags = ::fcntl(fds[1], F_GETFL, 0);
+  if (flags >= 0) {
+    const int rc = ::fcntl(fds[1], F_SETFL, flags | O_NONBLOCK);
+    (void)rc;
+  }
+}
+
+WakeHandle::~WakeHandle() = default;
+
+void WakeHandle::Signal() {
+  if (!write_end_.valid()) return;
+  const uint8_t byte = 1;
+  // The byte is never read, so the read end stays readable; EAGAIN means
+  // earlier signals already filled the pipe, which is just as awake.
+  const ssize_t written = ::write(write_end_.fd(), &byte, 1);
+  (void)written;
+}
+
 Result<Socket> AcceptWithDeadline(
-    const Socket& listener, std::chrono::steady_clock::time_point deadline) {
+    const Socket& listener, std::chrono::steady_clock::time_point deadline,
+    const WakeHandle* wake) {
   for (;;) {
-    pollfd pfd{listener.fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, MillisUntil(deadline));
+    pollfd pfds[2] = {{listener.fd(), POLLIN, 0},
+                      {wake != nullptr ? wake->wait_fd() : -1, POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, MillisUntil(deadline));
     if (ready < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(ErrnoMessage("poll(accept)"));
     }
+    if (pfds[1].revents != 0) {
+      return Status::Unavailable("accept woken for shutdown");
+    }
+    const pollfd& pfd = pfds[0];
     if (ready > 0) {
       if ((pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
         return Status::Unavailable("listener socket closed");
@@ -301,8 +336,12 @@ Status NoSockets() {
 
 Result<Socket> ListenOn(const std::string&, uint16_t) { return NoSockets(); }
 Result<uint16_t> LocalPort(const Socket&) { return NoSockets(); }
+WakeHandle::WakeHandle() = default;
+WakeHandle::~WakeHandle() = default;
+void WakeHandle::Signal() {}
 Result<Socket> AcceptWithDeadline(const Socket&,
-                                  std::chrono::steady_clock::time_point) {
+                                  std::chrono::steady_clock::time_point,
+                                  const WakeHandle*) {
   return NoSockets();
 }
 Result<Socket> ConnectTo(const std::string&, uint16_t,

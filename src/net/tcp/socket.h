@@ -48,10 +48,35 @@ Result<Socket> ListenOn(const std::string& host, uint16_t port);
 /// port-0 listener reports its ephemeral assignment.
 Result<uint16_t> LocalPort(const Socket& socket);
 
+/// A self-pipe that wakes a thread waiting in AcceptWithDeadline from
+/// another thread, without touching the listener itself (the coordinator
+/// hands the same pre-bound listener to a respawned party). Once
+/// signaled it stays signaled.
+class WakeHandle {
+ public:
+  WakeHandle();
+  ~WakeHandle();
+  WakeHandle(const WakeHandle&) = delete;
+  WakeHandle& operator=(const WakeHandle&) = delete;
+
+  /// Wakes every current and future wait on this handle. Thread-safe.
+  void Signal();
+
+  /// The descriptor a waiter polls for readability (-1 if the pipe could
+  /// not be created; waits then run to their deadline).
+  int wait_fd() const { return read_end_.fd(); }
+
+ private:
+  Socket read_end_;
+  Socket write_end_;
+};
+
 /// Accepts one connection, waiting at most until `deadline`. Fails with
-/// kDeadlineExceeded on timeout, kUnavailable if the listener is closed.
+/// kDeadlineExceeded on timeout, and with kUnavailable if the listener is
+/// closed or `wake` (when non-null) is signaled.
 Result<Socket> AcceptWithDeadline(
-    const Socket& listener, std::chrono::steady_clock::time_point deadline);
+    const Socket& listener, std::chrono::steady_clock::time_point deadline,
+    const WakeHandle* wake = nullptr);
 
 /// Connects to host:port, waiting at most until `deadline` (non-blocking
 /// connect + poll). The returned socket is in blocking mode with

@@ -246,8 +246,10 @@ Status TcpTransport::DialHandshake(const std::shared_ptr<Conn>& conn,
 
 void TcpTransport::AcceptorMain() {
   while (!ShuttingDown()) {
-    Result<Socket> accepted = AcceptWithDeadline(
-        listener_, Clock::now() + std::chrono::milliseconds(250));
+    Result<Socket> accepted =
+        AcceptWithDeadline(listener_,
+                           Clock::now() + std::chrono::milliseconds(250),
+                           &acceptor_wake_);
     if (!accepted.ok()) {
       if (accepted.status().code() == StatusCode::kDeadlineExceeded) {
         continue;
@@ -804,6 +806,7 @@ void TcpTransport::Shutdown() {
     recv_cv_.NotifyAll();
   }
   if (already) return;
+  acceptor_wake_.Signal();
 
   // Graceful goodbyes: peers that hear a kBye mark this party departed
   // instead of burning their reconnect budget on it.

@@ -249,6 +249,8 @@ class TcpTransport : public Transport {
   uint16_t listen_port_ = 0;
 
   Socket listener_;
+  /// Wakes AcceptorMain out of its accept wait on Shutdown.
+  WakeHandle acceptor_wake_;
   std::vector<std::thread> threads_;
 
   mutable Mutex mu_;

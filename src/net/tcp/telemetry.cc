@@ -218,6 +218,20 @@ void TelemetryClient::Run() {
                        std::chrono::duration<double>(
                            options_.snapshot_interval_seconds));
   while (!stop_.load()) {
+    // Tick before waiting for a frame, so the first snapshot does not sit
+    // behind a whole receive poll.
+    const auto now = std::chrono::steady_clock::now();
+    if (std::chrono::duration<double>(now - last_tick).count() >=
+        options_.snapshot_interval_seconds) {
+      last_tick = now;
+      if (options_.on_tick) options_.on_tick();
+      if (options_.build_snapshot) {
+        if (!SendSnapshot(options_.build_snapshot()).ok()) {
+          running_.store(false);
+          return;
+        }
+      }
+    }
     Result<Frame> frame =
         ReadTelemetryFrame(sock_, options_.session_key, stop_);
     if (!frame.ok()) {
@@ -244,18 +258,6 @@ void TelemetryClient::Run() {
         if (!SendFrame(FrameType::kTelemetryClock,
                        {received.payload[0], t_p})
                  .ok()) {
-          running_.store(false);
-          return;
-        }
-      }
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (std::chrono::duration<double>(now - last_tick).count() >=
-        options_.snapshot_interval_seconds) {
-      last_tick = now;
-      if (options_.on_tick) options_.on_tick();
-      if (options_.build_snapshot) {
-        if (!SendSnapshot(options_.build_snapshot()).ok()) {
           running_.store(false);
           return;
         }

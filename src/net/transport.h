@@ -14,8 +14,8 @@ namespace sqm {
 
 /// Which Transport implementation a pipeline should construct.
 enum class TransportMode {
-  /// Deterministic single-threaded queues, seed `SimulatedNetwork`
-  /// semantics: Receive hard-fails when no message is pending.
+  /// Deterministic single-threaded queues (LockstepTransport): Receive
+  /// hard-fails when no message is pending.
   kLockstep,
   /// Thread-safe bounded mailboxes with blocking receives, timeouts,
   /// retry/backoff and optional fault injection (src/net/threaded.h).
@@ -60,8 +60,9 @@ class MessageInterceptor {
 
 /// Abstract pairwise message transport between `num_parties` parties.
 ///
-/// This is the seam between protocol logic (BgwProtocol, the SQM pipeline)
-/// and the execution model. The same protocol code runs over
+/// This is the seam between protocol logic (BgwProtocol, whichever parties
+/// it hosts, and the SQM pipeline) and the execution model. The same
+/// protocol code runs over
 ///  - LockstepTransport: the paper's single-machine simulation — queues in
 ///    program order, a simulated clock advancing per round,
 ///  - ThreadedTransport: concurrent parties, lossy/delayed links, blocking

@@ -36,8 +36,8 @@ const std::vector<int64_t> kInputB = {-7, 2, 9};
 // Element-wise product and its sum, what the probe releases.
 const std::vector<int64_t> kExpected = {-21, -8, 45, 16};
 
-/// The conformance probe: checked input sharing for two parties, a batched
-/// multiplication (verified at exit when verify_sharings is on), an inner
+/// The conformance probe with verify_sharings on: checked input sharing for
+/// two parties, a batched multiplication (verified at exit), an inner
 /// product, and checked opens of both results.
 Result<std::vector<int64_t>> RunCheckedProbe(
     MessageInterceptor* interceptor) {
@@ -47,35 +47,35 @@ Result<std::vector<int64_t>> RunCheckedProbe(
   protocol.set_verify_sharings(true);
   SQM_ASSIGN_OR_RETURN(
       const SharedVector a,
-      protocol.ShareFromPartyChecked(0, Field::EncodeVector(kInputA)));
+      protocol.ShareFromParty(0, Field::EncodeVector(kInputA)));
   SQM_ASSIGN_OR_RETURN(
       const SharedVector b,
-      protocol.ShareFromPartyChecked(1, Field::EncodeVector(kInputB)));
+      protocol.ShareFromParty(1, Field::EncodeVector(kInputB)));
   SQM_ASSIGN_OR_RETURN(const SharedVector prod, protocol.Mul(a, b));
   SQM_ASSIGN_OR_RETURN(const SharedVector ip, protocol.InnerProduct(a, b));
   SQM_ASSIGN_OR_RETURN(std::vector<int64_t> outputs,
-                       protocol.OpenSignedChecked(prod));
+                       protocol.OpenSigned(prod));
   SQM_ASSIGN_OR_RETURN(const std::vector<int64_t> ip_open,
-                       protocol.OpenSignedChecked(ip));
+                       protocol.OpenSigned(ip));
   outputs.insert(outputs.end(), ip_open.begin(), ip_open.end());
   network.SetInterceptor(nullptr);
   return outputs;
 }
 
-/// Same probe through the legacy unchecked entry points (no verification),
-/// to document what a tamper does when nobody checks.
+/// Same probe with verification off, to document what a tamper does when
+/// nobody checks.
 std::vector<int64_t> RunUncheckedProbe(MessageInterceptor* interceptor) {
   LockstepTransport network(kParties, 0.0, Field::kWireBytes);
   network.SetInterceptor(interceptor);
   BgwProtocol protocol(ShamirScheme(kParties, kThreshold), &network, 77);
   const SharedVector a =
-      protocol.ShareFromParty(0, Field::EncodeVector(kInputA));
+      protocol.ShareFromParty(0, Field::EncodeVector(kInputA)).ValueOrDie();
   const SharedVector b =
-      protocol.ShareFromParty(1, Field::EncodeVector(kInputB));
+      protocol.ShareFromParty(1, Field::EncodeVector(kInputB)).ValueOrDie();
   const SharedVector prod = protocol.Mul(a, b).ValueOrDie();
   const SharedVector ip = protocol.InnerProduct(a, b).ValueOrDie();
-  std::vector<int64_t> outputs = protocol.OpenSigned(prod);
-  const std::vector<int64_t> ip_open = protocol.OpenSigned(ip);
+  std::vector<int64_t> outputs = protocol.OpenSigned(prod).ValueOrDie();
+  const std::vector<int64_t> ip_open = protocol.OpenSigned(ip).ValueOrDie();
   outputs.insert(outputs.end(), ip_open.begin(), ip_open.end());
   network.SetInterceptor(nullptr);
   return outputs;
@@ -102,7 +102,7 @@ TEST(AdversaryTest, AdditiveTamperOnInputIsDetected) {
 
 TEST(AdversaryTest, AdditiveTamperSilentlyCorruptsWithoutVerification) {
   // The motivation for the conformance layer: the identical tamper against
-  // the legacy unchecked path changes the release and nobody notices.
+  // the unchecked path changes the release and nobody notices.
   TamperPolicy policy;
   policy.kind = TamperPolicy::Kind::kAdditive;
   policy.target.phase = "input";
@@ -161,7 +161,7 @@ TEST(AdversaryTest, WrongDegreeDealingIsDetected) {
 
 TEST(AdversaryTest, EquivocationOnOpenIsDetected) {
   // Party 2 broadcasts recipient-dependent share vectors during the open.
-  // OpenChecked collects every recipient's copy and must call it out.
+  // The checked Open compares every recipient's copy and must call it out.
   TamperPolicy policy;
   policy.kind = TamperPolicy::Kind::kEquivocate;
   policy.target.phase = "open";

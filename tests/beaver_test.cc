@@ -1,8 +1,8 @@
 #include "mpc/beaver.h"
-#include "mpc/network.h"
 
 #include <gtest/gtest.h>
 
+#include "net/lockstep.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -14,12 +14,12 @@ class BeaverTest : public ::testing::Test {
   static constexpr size_t kThreshold = 2;
 
   BeaverTest()
-      : network_(kParties, 0.0),
+      : network_(kParties, 0.0, Field::kWireBytes),
         protocol_(ShamirScheme(kParties, kThreshold), &network_, 21),
         dealer_(ShamirScheme(kParties, kThreshold), 22),
         multiplier_(&protocol_, &dealer_) {}
 
-  SimulatedNetwork network_;
+  LockstepTransport network_;
   BgwProtocol protocol_;
   BeaverTripleDealer dealer_;
   BeaverMultiplier multiplier_;
@@ -45,11 +45,13 @@ TEST_F(BeaverTest, TriplesAreFresh) {
 
 TEST_F(BeaverTest, MulIsExact) {
   const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({3, -4, 0, 123456}));
+      protocol_.ShareFromParty(0, Field::EncodeVector({3, -4, 0, 123456}))
+          .ValueOrDie();
   const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({7, 9, 5, -1000}));
+      protocol_.ShareFromParty(1, Field::EncodeVector({7, 9, 5, -1000}))
+          .ValueOrDie();
   const SharedVector product = multiplier_.Mul(x, y).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(product),
+  EXPECT_EQ(protocol_.OpenSigned(product).ValueOrDie(),
             (std::vector<int64_t>{21, -36, 0, -123456000}));
   EXPECT_EQ(multiplier_.triples_used(), 4u);
 }
@@ -58,23 +60,25 @@ TEST_F(BeaverTest, MulChainsAndMatchesGrr) {
   // Beaver output stays a degree-t sharing: products chain, and the result
   // matches GRR multiplication of the same inputs.
   const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({6}));
+      protocol_.ShareFromParty(0, Field::EncodeVector({6})).ValueOrDie();
   const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({-7}));
+      protocol_.ShareFromParty(1, Field::EncodeVector({-7})).ValueOrDie();
   const SharedVector beaver1 = multiplier_.Mul(x, y).ValueOrDie();
   const SharedVector beaver2 = multiplier_.Mul(beaver1, x).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(beaver2), (std::vector<int64_t>{-252}));
+  EXPECT_EQ(protocol_.OpenSigned(beaver2).ValueOrDie(),
+            (std::vector<int64_t>{-252}));
 
   const SharedVector grr =
       protocol_.Mul(protocol_.Mul(x, y).ValueOrDie(), x).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(grr), (std::vector<int64_t>{-252}));
+  EXPECT_EQ(protocol_.OpenSigned(grr).ValueOrDie(),
+            (std::vector<int64_t>{-252}));
 }
 
 TEST_F(BeaverTest, OnlineTrafficIsOneOpening) {
   const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({1, 2, 3}));
+      protocol_.ShareFromParty(0, Field::EncodeVector({1, 2, 3})).ValueOrDie();
   const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({4, 5, 6}));
+      protocol_.ShareFromParty(1, Field::EncodeVector({4, 5, 6})).ValueOrDie();
   const NetworkStats before = network_.stats();
   (void)multiplier_.Mul(x, y).ValueOrDie();
   const NetworkStats after = network_.stats();
@@ -86,9 +90,9 @@ TEST_F(BeaverTest, OnlineTrafficIsOneOpening) {
 
 TEST_F(BeaverTest, ShapeMismatchRejected) {
   const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({1, 2}));
+      protocol_.ShareFromParty(0, Field::EncodeVector({1, 2})).ValueOrDie();
   const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({3}));
+      protocol_.ShareFromParty(1, Field::EncodeVector({3})).ValueOrDie();
   EXPECT_FALSE(multiplier_.Mul(x, y).ok());
 }
 
@@ -114,13 +118,15 @@ TEST_F(BeaverTest, PoolStreamMatchesDealerStream) {
 
 TEST_F(BeaverTest, PoolBackedMultiplierMatchesDealerBacked) {
   const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({3, -4, 0, 123456}));
+      protocol_.ShareFromParty(0, Field::EncodeVector({3, -4, 0, 123456}))
+          .ValueOrDie();
   const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({7, 9, 5, -1000}));
+      protocol_.ShareFromParty(1, Field::EncodeVector({7, 9, 5, -1000}))
+          .ValueOrDie();
   BeaverTriplePool pool(ShamirScheme(kParties, kThreshold), 23, 4);
   BeaverMultiplier pooled(&protocol_, &pool);
   const SharedVector product = pooled.Mul(x, y).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(product),
+  EXPECT_EQ(protocol_.OpenSigned(product).ValueOrDie(),
             (std::vector<int64_t>{21, -36, 0, -123456000}));
   EXPECT_EQ(pooled.triples_used(), 4u);
   EXPECT_EQ(pool.available(), 0u);
@@ -172,7 +178,7 @@ TEST_F(BeaverTest, RefillExtendsTheSameStream) {
 }
 
 TEST_F(BeaverTest, RefillUnderDropoutEnforcesDealerQuorum) {
-  // Dealing degree-t triples that recombine under MulQuorum needs the
+  // Dealing degree-t triples that recombine under a quorum Mul needs the
   // 2t+1 dealer rule, exactly like a GRR level: with t = 2 that is 5
   // distinct surviving dealers.
   BeaverTriplePool pool(ShamirScheme(kParties, kThreshold), 13, 1);
@@ -194,15 +200,15 @@ TEST_F(BeaverTest, RefillUnderDropoutEnforcesDealerQuorum) {
 }
 
 TEST(BeaverThreePartyTest, WorksAtMinimalConfiguration) {
-  SimulatedNetwork network(3, 0.0);
+  LockstepTransport network(3, 0.0, Field::kWireBytes);
   BgwProtocol protocol(ShamirScheme(3, 1), &network, 31);
   BeaverTripleDealer dealer(ShamirScheme(3, 1), 32);
   BeaverMultiplier multiplier(&protocol, &dealer);
   const SharedVector x =
-      protocol.ShareFromParty(0, Field::EncodeVector({11}));
+      protocol.ShareFromParty(0, Field::EncodeVector({11})).ValueOrDie();
   const SharedVector y =
-      protocol.ShareFromParty(2, Field::EncodeVector({-3}));
-  EXPECT_EQ(protocol.OpenSigned(multiplier.Mul(x, y).ValueOrDie()),
+      protocol.ShareFromParty(2, Field::EncodeVector({-3})).ValueOrDie();
+  EXPECT_EQ(protocol.OpenSigned(multiplier.Mul(x, y).ValueOrDie()).ValueOrDie(),
             (std::vector<int64_t>{-33}));
 }
 

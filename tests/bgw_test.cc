@@ -1,7 +1,8 @@
 #include "mpc/bgw.h"
-#include "mpc/network.h"
 
 #include <gtest/gtest.h>
+
+#include "net/lockstep.h"
 
 namespace sqm {
 namespace {
@@ -12,10 +13,22 @@ class BgwTest : public ::testing::Test {
   static constexpr size_t kThreshold = 2;
 
   BgwTest()
-      : network_(kParties, 0.0),
+      : network_(kParties, 0.0, Field::kWireBytes),
         engine_(ShamirScheme(kParties, kThreshold), &network_, 1234) {}
 
-  SimulatedNetwork network_;
+  /// Evaluate through a checkpoint, which counts the multiplication
+  /// rounds; returns the opened outputs.
+  std::vector<int64_t> EvaluateCounting(
+      const Circuit& c, const std::vector<std::vector<int64_t>>& inputs,
+      size_t* mul_rounds) {
+    BgwCheckpoint checkpoint;
+    const SharedVector shares =
+        engine_.EvaluateToShares(c, inputs, &checkpoint).ValueOrDie();
+    *mul_rounds = checkpoint.mul_rounds_done;
+    return engine_.OpenOutputs(shares).ValueOrDie();
+  }
+
+  LockstepTransport network_;
   BgwEngine engine_;
 };
 
@@ -40,11 +53,12 @@ TEST_F(BgwTest, EvaluatesProductChain) {
   const auto b = c.AddInput(1);
   const auto cc = c.AddInput(2);
   c.MarkOutput(c.AddMul(c.AddMul(a, b), cc));
+  size_t mul_rounds = 0;
   const auto out =
-      engine_.Evaluate(c, {{-3}, {4}, {5}, {}, {}}).ValueOrDie();
+      EvaluateCounting(c, {{-3}, {4}, {5}, {}, {}}, &mul_rounds);
   EXPECT_EQ(out, (std::vector<int64_t>{-60}));
-  EXPECT_EQ(engine_.last_report().mul_rounds, 2u);
-  EXPECT_EQ(engine_.last_report().multiplications, 2u);
+  EXPECT_EQ(mul_rounds, 2u);
+  EXPECT_EQ(c.num_multiplications(), 2u);
 }
 
 TEST_F(BgwTest, BatchesSameDepthMultiplications) {
@@ -55,10 +69,11 @@ TEST_F(BgwTest, BatchesSameDepthMultiplications) {
   for (size_t j = 0; j < 4; ++j) {
     c.MarkOutput(c.AddMul(inputs[j], inputs[(j + 1) % 4]));
   }
+  size_t mul_rounds = 0;
   const auto out =
-      engine_.Evaluate(c, {{2}, {3}, {5}, {7}, {}}).ValueOrDie();
+      EvaluateCounting(c, {{2}, {3}, {5}, {7}, {}}, &mul_rounds);
   EXPECT_EQ(out, (std::vector<int64_t>{6, 15, 35, 14}));
-  EXPECT_EQ(engine_.last_report().mul_rounds, 1u);
+  EXPECT_EQ(mul_rounds, 1u);
 }
 
 TEST_F(BgwTest, ConstantsAndPolynomials) {
@@ -103,7 +118,7 @@ TEST_F(BgwTest, MultipleInputsPerPartyConsumeInOrder)
 
 TEST(BgwThreePartyTest, InnerProductAcrossParties) {
   // <x, y> for 3-vectors owned by parties 0 and 1.
-  SimulatedNetwork network(3, 0.0);
+  LockstepTransport network(3, 0.0, Field::kWireBytes);
   BgwEngine engine(ShamirScheme(3, 1), &network, 5);
   Circuit c;
   std::vector<Circuit::WireId> x, y;
@@ -118,7 +133,7 @@ TEST(BgwThreePartyTest, InnerProductAcrossParties) {
 }
 
 TEST(BgwLatencyTest, SimulatedTimeTracksRounds) {
-  SimulatedNetwork network(3, 0.1);
+  LockstepTransport network(3, 0.1, Field::kWireBytes);
   BgwEngine engine(ShamirScheme(3, 1), &network, 5);
   Circuit c;
   const auto a = c.AddInput(0);

@@ -53,14 +53,12 @@ bool DetectOrUnchanged(TamperPolicy policy, std::string* what) {
   BgwProtocol protocol(ShamirScheme(kParties, kThreshold), &network, 5);
   protocol.set_verify_sharings(true);
   auto run = [&]() -> sqm::Result<std::vector<int64_t>> {
-    SQM_ASSIGN_OR_RETURN(
-        const SharedVector a,
-        protocol.ShareFromPartyChecked(0, Field::EncodeVector(x0)));
-    SQM_ASSIGN_OR_RETURN(
-        const SharedVector b,
-        protocol.ShareFromPartyChecked(1, Field::EncodeVector(x1)));
+    SQM_ASSIGN_OR_RETURN(const SharedVector a,
+                         protocol.ShareFromParty(0, Field::EncodeVector(x0)));
+    SQM_ASSIGN_OR_RETURN(const SharedVector b,
+                         protocol.ShareFromParty(1, Field::EncodeVector(x1)));
     SQM_ASSIGN_OR_RETURN(const SharedVector prod, protocol.Mul(a, b));
-    return protocol.OpenSignedChecked(prod);
+    return protocol.OpenSigned(prod);
   };
   const auto result = run();
   network.SetInterceptor(nullptr);

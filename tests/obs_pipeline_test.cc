@@ -50,7 +50,7 @@ class ObsPipelineTest : public ::testing::Test {
   }
 };
 
-TEST_F(ObsPipelineTest, FullRunProducesPerPartyProtocolSpans) {
+TEST_F(ObsPipelineTest, FullRunProducesPerPartyBgwSpans) {
   const Matrix x = SmallDatabase(8, kParties, 1);
   const PolynomialVector f = PolynomialVector::OuterProduct(kParties);
   const SqmReport report =

@@ -1,8 +1,8 @@
-// The per-party execution path (PartyProtocol / PartyEngine / RunPartySqm)
-// must be a bit-exact mirror of the driver path (BgwProtocol / BgwEngine /
-// SqmEvaluator): same seed, same config, same released values — down to
-// the last bit — even though one runs n processes over TCP and the other
-// runs single-threaded over the lockstep transport. These tests run the
+// The per-party execution path (RunPartySqm, a BgwEngine hosting {me})
+// must be a bit-exact mirror of the driver path (SqmEvaluator, a BgwEngine
+// hosting every party): same seed, same config, same released values —
+// down to the last bit — even though one runs n processes over TCP and the
+// other runs single-threaded over the lockstep transport. These tests run the
 // per-party side as three threads with real loopback sockets in one
 // process, which keeps the suite hermetic while exercising the identical
 // code the sqm-party daemon runs.
@@ -255,7 +255,7 @@ TEST(DeploymentConfigJson, NegativeChaosStallSecondsIsRejected) {
       << parsed.status().ToString();
 }
 
-TEST(PartyProtocol, NoiselessTcpRunMatchesLockstepBitForBit) {
+TEST(PartySqm, NoiselessTcpRunMatchesLockstepBitForBit) {
   if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   const sqm::DeploymentConfig config = BaseConfig(3);
   const std::vector<sqm::SqmReport> reports = RunNetworked(config);
@@ -270,7 +270,7 @@ TEST(PartyProtocol, NoiselessTcpRunMatchesLockstepBitForBit) {
   EXPECT_EQ(reports[0].raw, reference.raw);
 }
 
-TEST(PartyProtocol, NoisyQuantizedRunMatchesLockstepBitForBit) {
+TEST(PartySqm, NoisyQuantizedRunMatchesLockstepBitForBit) {
   if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   sqm::DeploymentConfig config = BaseConfig(3);
   config.run_id = 18;
@@ -294,7 +294,7 @@ TEST(PartyProtocol, NoisyQuantizedRunMatchesLockstepBitForBit) {
   }
 }
 
-TEST(PartyProtocol, FourPartiesWithThresholdOne) {
+TEST(PartySqm, FourPartiesWithThresholdOne) {
   if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   sqm::DeploymentConfig config = BaseConfig(4);
   config.run_id = 19;
@@ -315,6 +315,9 @@ TEST(PartyProtocol, FourPartiesWithThresholdOne) {
   for (size_t i = 0; i < reports.size(); ++i) {
     SCOPED_TRACE("party " + std::to_string(i));
     ExpectSameAccounting(reports[i], reference);
+    // Both run the quorum census, so every process counts the in-process
+    // run's rounds.
+    EXPECT_EQ(reports[i].network.rounds, reference.network.rounds);
   }
 }
 

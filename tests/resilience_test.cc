@@ -17,10 +17,10 @@
 #include "core/sqm.h"
 #include "mpc/bgw.h"
 #include "mpc/circuit.h"
-#include "mpc/network.h"
 #include "mpc/protocol.h"
 #include "mpc/shamir.h"
 #include "net/liveness.h"
+#include "net/lockstep.h"
 #include "net/threaded.h"
 
 namespace sqm {
@@ -213,10 +213,10 @@ TEST(ResilienceTest, DropoutReportSerializesToJson) {
 // Lockstep network that times out a fixed set of dealers once each, after
 // the input phase — a transient flake (kDeadlineExceeded), not a crash: the
 // parties stay alive and the retried level succeeds.
-class FlakyOnceNetwork : public SimulatedNetwork {
+class FlakyOnceNetwork : public LockstepTransport {
  public:
   FlakyOnceNetwork(size_t num_parties, std::vector<size_t> flaky_dealers)
-      : SimulatedNetwork(num_parties, 0.0),
+      : LockstepTransport(num_parties, 0.0, Field::kWireBytes),
         pending_(std::move(flaky_dealers)) {}
 
   Result<Payload> Receive(size_t from, size_t to) override {
@@ -227,7 +227,7 @@ class FlakyOnceNetwork : public SimulatedNetwork {
         return Status::DeadlineExceeded("injected transient timeout");
       }
     }
-    return SimulatedNetwork::Receive(from, to);
+    return LockstepTransport::Receive(from, to);
   }
 
  private:
@@ -250,7 +250,7 @@ TEST(ResilienceTest, CheckpointResumesAfterTransientTimeouts) {
       {3}, {-4}, {5}, {7}, {-2}};
   const int64_t expected = (3 * -4) * 5 + 7 - 2;
 
-  SimulatedNetwork clean_net(5, 0.0);
+  LockstepTransport clean_net(5, 0.0, Field::kWireBytes);
   BgwEngine clean_engine(ShamirScheme(5, 1), &clean_net, 99);
   LivenessTracker clean_tracker(5);
   clean_engine.set_liveness(&clean_tracker);
@@ -279,13 +279,62 @@ TEST(ResilienceTest, CheckpointResumesAfterTransientTimeouts) {
   EXPECT_EQ(tracker.num_alive(), 5u);  // Success cleared every suspicion.
 }
 
+// Lockstep network that loses every sub-share batch one dealer sends in the
+// first round after `after_rounds` (the frame is consumed and reported as a
+// timeout at each recipient, as a lossy link would).
+class LossyDealerNetwork : public LockstepTransport {
+ public:
+  LossyDealerNetwork(size_t num_parties, size_t dealer, uint64_t after_rounds)
+      : LockstepTransport(num_parties, 0.0, Field::kWireBytes),
+        dealer_(dealer),
+        after_rounds_(after_rounds) {}
+
+  Result<Payload> Receive(size_t from, size_t to) override {
+    Result<Payload> received = LockstepTransport::Receive(from, to);
+    if (from == dealer_ && from != to && stats().rounds == after_rounds_ + 1) {
+      return Status::DeadlineExceeded("injected lost frame");
+    }
+    return received;
+  }
+
+ private:
+  size_t dealer_;
+  uint64_t after_rounds_;
+};
+
+TEST(ResilienceTest, OneVerdictPerDealerPerRound) {
+  // Dealer 1's sub-shares time out at all four other recipients of one
+  // round. The tracker must hear ONE failure (suspected), not four — with
+  // dead_after = 2, per-recipient verdicts would kill a live party.
+  Circuit circuit;
+  std::vector<Circuit::WireId> in(5);
+  for (size_t j = 0; j < 5; ++j) in[j] = circuit.AddInput(j);
+  circuit.MarkOutput(circuit.AddAdd(circuit.AddMul(in[0], in[1]),
+                                    circuit.AddAdd(in[2], in[3])));
+  const std::vector<std::vector<int64_t>> inputs = {{3}, {-4}, {5}, {7}, {0}};
+
+  LossyDealerNetwork network(5, 1, /*after_rounds=*/5);
+  BgwEngine engine(ShamirScheme(5, 1), &network, 99);
+  LivenessTracker tracker(5);
+  engine.set_liveness(&tracker);
+  const auto shares = engine.EvaluateToShares(circuit, inputs);
+  ASSERT_TRUE(shares.ok()) << shares.status().ToString();
+  EXPECT_EQ(tracker.state(1), PartyLiveness::kSuspected);
+  EXPECT_EQ(tracker.num_dead(), 0u);
+  // The other four dealers are a quorum; party 1's open clears it.
+  const auto outputs = engine.OpenOutputs(shares.ValueOrDie());
+  ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
+  EXPECT_EQ(outputs.ValueOrDie(), (std::vector<int64_t>{-12 + 5 + 7}));
+  EXPECT_EQ(tracker.num_alive(), 5u);
+}
+
 TEST(ResilienceTest, CrashSweepEveryPartyEveryPhase) {
   // Crash each party at each protocol phase boundary over the threaded
   // transport: every run must either finish with the no-crash release and a
   // consistent dropout report, or fail with kUnavailable — never hang,
   // never release corrupted values. n = 5, t = 1: rounds 0..4 are input
-  // rounds (party j deals in round j), round 5 is the mul, round 6 the
-  // open.
+  // rounds (party j deals in round j), round 5 is the mul, round 6 its
+  // census, round 7 the open.
   PolynomialVector f;
   Polynomial p;
   p.AddTerm(Monomial(1.0, {{0, 1}, {1, 1}}));

@@ -505,8 +505,10 @@ void Recombine(std::vector<Field::Element>& out, Field::Element delta,
 )cpp";
 
 TEST(BatchDiscipline, FiresOnInductionIndexedScalarOp) {
-  const auto findings = Lint("src/mpc/bgw.cc", kScalarLoopInHotPath);
-  EXPECT_EQ(Active(findings, "batch-discipline"), 1);
+  for (const char* path : {"src/mpc/bgw.cc", "src/core/sqm_session.cc"}) {
+    const auto findings = Lint(path, kScalarLoopInHotPath);
+    EXPECT_EQ(Active(findings, "batch-discipline"), 1) << path;
+  }
 }
 
 TEST(BatchDiscipline, OutsideHotPathIsIgnored) {
@@ -518,7 +520,7 @@ TEST(BatchDiscipline, OutsideHotPathIsIgnored) {
 }
 
 TEST(BatchDiscipline, VectorKernelAndGateIndexingAreClean) {
-  const auto findings = Lint("src/mpc/party_protocol.cc", R"cpp(
+  const auto findings = Lint("src/mpc/bgw.cc", R"cpp(
 void Walk(std::vector<Field::Element>& shares, const Circuit& circuit,
           const Field::Element* term, size_t n) {
   Field::AddVec(shares.data(), term, shares.data(), n);

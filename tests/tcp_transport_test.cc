@@ -188,6 +188,19 @@ TEST_F(TcpTransportTest, MessagesSentBeforeGoodbyeStillDeliver) {
   EXPECT_EQ(got.ValueOrDie(), Payload({31, 32}));
 }
 
+TEST_F(TcpTransportTest, IdleShutdownReturnsPromptly) {
+  // Shutdown wakes the acceptor instead of waiting out its accept
+  // deadline (250 ms), so tearing down an idle mesh takes milliseconds.
+  for (size_t i = 0; i < mesh_.size(); ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    mesh_[i]->Shutdown();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 0.1) << "party " << i << " took " << seconds << " s";
+  }
+}
+
 TEST(TcpTransportMesh, FivePartyMeshComesUp) {
   if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   auto mesh = MakeMesh(5, 0.3);
