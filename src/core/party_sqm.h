@@ -53,13 +53,13 @@ struct PartySqmHooks {
 /// Runs party `me`'s side of the full SQM mechanism (Algorithm 3) over
 /// `transport` and returns this party's copy of the report. The networked
 /// counterpart of SqmEvaluator::Evaluate with backend kBgw: it converts
-/// `config` with SqmOptionsFromDeployment and calls the same session code
-/// (core/sqm_session.h) for validation, quantization, noise, the circuit,
-/// the top-up and the accounting, keeping only its own columns and noise.
-/// Only the engine's hosted set differs: BgwEngine hosts {me} and evaluates
-/// party `me`'s share of the circuit, so the released values and the
-/// report's dropout block and ledger are bit-identical to a driver-mode run
-/// of the same config.
+/// `config` with SqmOptionsFromDeployment, generates the deployment matrix,
+/// quantizes and samples only its own columns and noise, and runs the same
+/// BGW session (core/sqm_session.h RunBgwSession) hosting {me}. It adds
+/// only the deployment pieces: the mul-level hook and, for supervised
+/// recovery, the durable checkpoint sink and restore and the resume
+/// barrier. The released values and the report's dropout block and ledger
+/// are bit-identical to a driver-mode run of the same config.
 ///
 /// `transport` must already be connected (see TcpTransport::Create) and
 /// have num_parties() == config.parties.size().

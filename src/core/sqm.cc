@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "core/sqm_session.h"
-#include "mpc/bgw.h"
 #include "mpc/field.h"
 #include "net/lockstep.h"
 #include "obs/trace.h"
@@ -108,8 +107,6 @@ Result<SqmReport> SqmEvaluator::EvaluatePlaintext(const SqmInputs& inputs) {
 Result<SqmReport> SqmEvaluator::EvaluateBgw(const PolynomialVector& f,
                                             const SqmInputs& inputs,
                                             size_t num_clients) {
-  const size_t threshold = BgwThreshold(options_, num_clients);
-
   // Name the party tracks so the exported trace renders one labeled row
   // per party; the driver's own spans go on the track after the parties.
   if (obs::Enabled()) {
@@ -121,16 +118,6 @@ Result<SqmReport> SqmEvaluator::EvaluateBgw(const PolynomialVector& f,
                                        "driver");
   }
   obs::TrackScope driver_track(static_cast<int32_t>(num_clients));
-  obs::Span bgw_span("sqm.bgw", "sqm");
-  bgw_span.AddArg("parties", static_cast<int64_t>(num_clients));
-  bgw_span.AddArg("threshold", static_cast<int64_t>(threshold));
-
-  const Circuit circuit = BuildSqmCircuit(inputs.qf, inputs.db.rows,
-                                          inputs.db.cols, num_clients);
-  std::vector<std::vector<int64_t>> inputs_per_party(num_clients);
-  for (size_t j = 0; j < num_clients; ++j) {
-    inputs_per_party[j] = PartyInputs(inputs, j, num_clients);
-  }
 
   // The options pick the execution model: deterministic lock-step, or
   // concurrent mailboxes with optional fault injection.
@@ -149,68 +136,8 @@ Result<SqmReport> SqmEvaluator::EvaluateBgw(const PolynomialVector& f,
     network = std::move(lockstep);
   }
   network->SetInterceptor(options_.interceptor);
-  BgwEngine engine(ShamirScheme(num_clients, threshold), network.get(),
-                   options_.seed ^ 0xb9d7);
-  const DropoutPolicy policy = options_.dropout_policy;
-  engine.set_verify_sharings(options_.verify_sharings &&
-                             policy == DropoutPolicy::kAbort);
-  const size_t quorum = 2 * threshold + 1;
-  LivenessTracker tracker(num_clients);
-  if (policy != DropoutPolicy::kAbort) engine.set_liveness(&tracker);
-
-  // Beaver backend: the pool is dealt here, before the online clock.
-  const std::unique_ptr<BeaverTriplePool> beaver_pool =
-      MakeBeaverPool(options_, num_clients, threshold, circuit);
-  engine.protocol().set_beaver_pool(beaver_pool.get());
-
-  MpcOutcome outcome;
-  {
-    obs::Span compute_span("sqm.mpc_compute", "sqm");
-    const auto compute_start = std::chrono::steady_clock::now();
-
-    // A run that loses a multiplication level to flaky links retries from
-    // the last completed level; a quorum shortfall (alive < 2t+1) is final.
-    BgwCheckpoint checkpoint;
-    BgwCheckpoint* checkpoint_ptr =
-        policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
-    const size_t max_attempts = MaxMpcAttempts(options_);
-    SharedVector out_shares;
-    while (true) {
-      ++outcome.attempts;
-      Result<SharedVector> shares =
-          engine.EvaluateToShares(circuit, inputs_per_party, checkpoint_ptr);
-      if (shares.ok()) {
-        out_shares = std::move(shares).ValueOrDie();
-        break;
-      }
-      const bool retryable = policy != DropoutPolicy::kAbort &&
-                             checkpoint.valid &&
-                             outcome.attempts < max_attempts &&
-                             tracker.num_alive() >= quorum;
-      if (!retryable) return shares.status();
-      outcome.resumed_from_level = checkpoint.next_level;
-    }
-
-    // kTopUp: before opening, the survivors deal compensating noise.
-    const TopUpPlan topup = PlanTopUp(options_, num_clients, tracker);
-    const std::vector<std::vector<int64_t>> topup_noise =
-        SampleTopUp(options_, topup, f.output_dim(), kAllParties);
-    for (size_t k = 0; k < topup.survivors.size(); ++k) {
-      SQM_ASSIGN_OR_RETURN(
-          SharedVector extra_shares,
-          engine.protocol().ShareFromParty(
-              topup.survivors[k], Field::EncodeVector(topup_noise[k]),
-              "topup"));
-      SQM_ASSIGN_OR_RETURN(out_shares,
-                           engine.protocol().Add(out_shares, extra_shares));
-    }
-    outcome.topup_mu = topup.mu;
-
-    SQM_ASSIGN_OR_RETURN(outcome.raw, engine.OpenOutputs(out_shares));
-    outcome.compute_seconds = SecondsSince(compute_start);
-  }
-  return FinishSqmReport(f, options_, inputs, num_clients, tracker, *network,
-                         std::move(outcome));
+  return RunBgwSession(f, options_, inputs, num_clients, network.get(),
+                       kAllParties);
 }
 
 }  // namespace sqm

@@ -256,7 +256,8 @@ class SqmEvaluator {
 
  private:
   Result<SqmReport> EvaluatePlaintext(const SqmInputs& inputs);
-  /// Runs BgwEngine for all parties, with checkpoint retries.
+  /// Builds the lockstep or threaded transport and runs the BGW session
+  /// (core/sqm_session.h) hosting every party.
   Result<SqmReport> EvaluateBgw(const PolynomialVector& f,
                                 const SqmInputs& inputs, size_t num_clients);
 

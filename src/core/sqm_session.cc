@@ -3,65 +3,31 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <utility>
 
+#include "core/logging.h"
 #include "core/sensitivity.h"
 #include "dp/accountant.h"
 #include "dp/skellam.h"
+#include "mpc/beaver.h"
 #include "mpc/field.h"
 #include "mpc/shamir.h"
+#include "net/liveness.h"
+#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "sampling/skellam_sampler.h"
 
 namespace sqm {
 
-Result<size_t> ValidateSqmRequest(const PolynomialVector& f, size_t rows,
-                                  size_t cols, const SqmOptions& options) {
-  if (f.output_dim() == 0) {
-    return Status::InvalidArgument("polynomial has no output dimensions");
-  }
-  if (f.MinArity() > cols) {
-    return Status::InvalidArgument(
-        "polynomial references more variables than the database has columns");
-  }
-  if (rows == 0) {
-    return Status::InvalidArgument("empty database");
-  }
-  const size_t num_clients =
-      options.num_clients == 0 ? cols : options.num_clients;
-  if (num_clients < 2) {
-    return Status::InvalidArgument(
-        "SQM needs >= 2 clients (a single client is the centralized "
-        "setting)");
-  }
-  if (num_clients > cols) {
-    return Status::InvalidArgument(
-        "more clients than columns: every client must own >= 1 column");
-  }
-  if (options.gamma < 1.0) {
-    return Status::InvalidArgument("gamma must be >= 1");
-  }
-  if (options.mu < 0.0) {
-    return Status::InvalidArgument("mu must be >= 0");
-  }
-  if (options.check_capacity) {
-    SQM_RETURN_NOT_OK(CheckFieldCapacity(rows, options.gamma, f.Degree(),
-                                         options.max_f_l2, options.mu));
-  }
-  if (options.backend == MpcBackend::kBgw) {
-    if (num_clients < 3) {
-      return Status::InvalidArgument(
-          "the BGW backend needs >= 3 clients (threshold < n/2 with "
-          "threshold >= 1); use more columns/clients or the plaintext "
-          "backend");
-    }
-    SQM_RETURN_NOT_OK(ShamirScheme::Validate(
-        num_clients, BgwThreshold(options, num_clients)));
-  }
-  return num_clients;
-}
-
 namespace {
+
+/// options.bgw_threshold, or the largest valid one, (n-1)/2, when 0.
+size_t BgwThreshold(const SqmOptions& options, size_t num_clients) {
+  return options.bgw_threshold == 0 ? (num_clients - 1) / 2
+                                    : options.bgw_threshold;
+}
 
 /// Columns owned by client `j`: contiguous blocks, remainder to the first.
 std::pair<size_t, size_t> ClientColumnRange(size_t j, size_t cols,
@@ -114,6 +80,52 @@ bool Samples(size_t party, size_t j) {
 
 }  // namespace
 
+Result<size_t> ValidateSqmRequest(const PolynomialVector& f, size_t rows,
+                                  size_t cols, const SqmOptions& options) {
+  if (f.output_dim() == 0) {
+    return Status::InvalidArgument("polynomial has no output dimensions");
+  }
+  if (f.MinArity() > cols) {
+    return Status::InvalidArgument(
+        "polynomial references more variables than the database has columns");
+  }
+  if (rows == 0) {
+    return Status::InvalidArgument("empty database");
+  }
+  const size_t num_clients =
+      options.num_clients == 0 ? cols : options.num_clients;
+  if (num_clients < 2) {
+    return Status::InvalidArgument(
+        "SQM needs >= 2 clients (a single client is the centralized "
+        "setting)");
+  }
+  if (num_clients > cols) {
+    return Status::InvalidArgument(
+        "more clients than columns: every client must own >= 1 column");
+  }
+  if (options.gamma < 1.0) {
+    return Status::InvalidArgument("gamma must be >= 1");
+  }
+  if (options.mu < 0.0) {
+    return Status::InvalidArgument("mu must be >= 0");
+  }
+  if (options.check_capacity) {
+    SQM_RETURN_NOT_OK(CheckFieldCapacity(rows, options.gamma, f.Degree(),
+                                         options.max_f_l2, options.mu));
+  }
+  if (options.backend == MpcBackend::kBgw) {
+    if (num_clients < 3) {
+      return Status::InvalidArgument(
+          "the BGW backend needs >= 3 clients (threshold < n/2 with "
+          "threshold >= 1); use more columns/clients or the plaintext "
+          "backend");
+    }
+    SQM_RETURN_NOT_OK(ShamirScheme::Validate(
+        num_clients, BgwThreshold(options, num_clients)));
+  }
+  return num_clients;
+}
+
 Result<SqmInputs> QuantizeAndSampleNoise(const PolynomialVector& f,
                                          const Matrix& x,
                                          const SqmOptions& options,
@@ -159,6 +171,11 @@ Result<SqmInputs> QuantizeAndSampleNoise(const PolynomialVector& f,
   return inputs;
 }
 
+namespace {
+
+/// The public release circuit: each client's columns (row by row), then
+/// its noise, as inputs; one output per dimension summing f-hat over the
+/// rows plus every client's noise.
 Circuit BuildSqmCircuit(const QuantizedPolynomial& qf, size_t rows,
                         size_t cols, size_t num_clients) {
   const size_t d = qf.dims.size();
@@ -211,6 +228,7 @@ Circuit BuildSqmCircuit(const QuantizedPolynomial& qf, size_t rows,
   return circuit;
 }
 
+/// `party`'s inputs in BuildSqmCircuit's declaration order.
 std::vector<int64_t> PartyInputs(const SqmInputs& inputs, size_t party,
                                  size_t num_clients) {
   std::vector<int64_t> values;
@@ -225,11 +243,14 @@ std::vector<int64_t> PartyInputs(const SqmInputs& inputs, size_t party,
   return values;
 }
 
+/// First run plus checkpoint resumes: 1 under kAbort.
 size_t MaxMpcAttempts(const SqmOptions& options) {
   if (options.dropout_policy == DropoutPolicy::kAbort) return 1;
   return std::max<size_t>(options.mpc_max_attempts, 1);
 }
 
+/// The Beaver triple pool every party deals offline from the shared seed
+/// (kBeaver), sized for MaxMpcAttempts passes; nullptr under kGrr.
 std::unique_ptr<BeaverTriplePool> MakeBeaverPool(const SqmOptions& options,
                                                  size_t num_clients,
                                                  size_t threshold,
@@ -241,6 +262,14 @@ std::unique_ptr<BeaverTriplePool> MakeBeaverPool(const SqmOptions& options,
       ShamirScheme(num_clients, threshold), options.seed ^ 0xbea7e5,
       circuit.num_multiplications() * MaxMpcAttempts(options));
 }
+
+/// kTopUp: when d of n parties died before the opening, each survivor adds
+/// Sk(d*mu / (n*(n-d))) so the release carries Sk(mu) again.
+struct TopUpPlan {
+  std::vector<size_t> survivors;  ///< Empty when no top-up is due.
+  double per_survivor_mu = 0.0;
+  double mu = 0.0;  ///< Total compensating noise.
+};
 
 TopUpPlan PlanTopUp(const SqmOptions& options, size_t num_clients,
                     const LivenessTracker& tracker) {
@@ -261,6 +290,7 @@ TopUpPlan PlanTopUp(const SqmOptions& options, size_t num_clients,
   return plan;
 }
 
+/// Element k is survivors[k]'s top-up draw; empty unless `party` samples it.
 std::vector<std::vector<int64_t>> SampleTopUp(const SqmOptions& options,
                                               const TopUpPlan& plan,
                                               size_t output_dim,
@@ -277,6 +307,16 @@ std::vector<std::vector<int64_t>> SampleTopUp(const SqmOptions& options,
   return noise;
 }
 
+struct MpcOutcome {
+  std::vector<int64_t> raw;  ///< Opened integer release.
+  double compute_seconds = 0.0;
+  double topup_mu = 0.0;
+  size_t attempts = 0;
+  size_t resumed_from_level = 0;
+};
+
+/// Post-processing (line 11) and the report: traffic, timing, the survivor
+/// census, and the realized (epsilon, delta) with its ledger.
 Result<SqmReport> FinishSqmReport(const PolynomialVector& f,
                                   const SqmOptions& options,
                                   const SqmInputs& inputs, size_t num_clients,
@@ -349,6 +389,156 @@ Result<SqmReport> FinishSqmReport(const PolynomialVector& f,
   // along in SqmReport and serializes as "privacy_ledger".
   report.ledger = accountant.ledger();
   return report;
+}
+
+/// The engine's hosted set: {party}, or every party under kAllParties.
+std::vector<size_t> HostedParties(size_t party, size_t num_clients) {
+  if (party != kAllParties) return {party};
+  std::vector<size_t> all(num_clients);
+  std::iota(all.begin(), all.end(), size_t{0});
+  return all;
+}
+
+}  // namespace
+
+Result<SqmReport> RunBgwSession(const PolynomialVector& f,
+                                const SqmOptions& options,
+                                const SqmInputs& inputs, size_t num_clients,
+                                Transport* transport, size_t party,
+                                const SqmSessionHooks& hooks) {
+  const size_t threshold = BgwThreshold(options, num_clients);
+  obs::Span bgw_span("sqm.bgw", "sqm");
+  bgw_span.AddArg("parties", static_cast<int64_t>(num_clients));
+  bgw_span.AddArg("threshold", static_cast<int64_t>(threshold));
+
+  const Circuit circuit = BuildSqmCircuit(inputs.qf, inputs.db.rows,
+                                          inputs.db.cols, num_clients);
+  BgwEngine engine(ShamirScheme(num_clients, threshold), transport,
+                   options.seed ^ 0xb9d7, HostedParties(party, num_clients));
+  const DropoutPolicy policy = options.dropout_policy;
+  engine.set_verify_sharings(options.verify_sharings &&
+                             policy == DropoutPolicy::kAbort);
+  const size_t quorum = 2 * threshold + 1;
+  LivenessTracker tracker(num_clients);
+  if (policy != DropoutPolicy::kAbort) engine.set_liveness(&tracker);
+  const bool recovery = hooks.recovery_deadline_seconds > 0.0;
+  if (recovery) SQM_RETURN_NOT_OK(engine.protocol().EnableRecoveryMode());
+  BgwCheckpoint checkpoint;
+  if (hooks.prepare) hooks.prepare(engine, circuit, checkpoint);
+
+  // Beaver backend: the pool is dealt here, before the online clock.
+  const std::unique_ptr<BeaverTriplePool> beaver_pool =
+      MakeBeaverPool(options, num_clients, threshold, circuit);
+  engine.protocol().set_beaver_pool(beaver_pool.get());
+
+  std::vector<std::vector<int64_t>> inputs_per_party(num_clients);
+  for (size_t j : engine.protocol().hosted()) {
+    inputs_per_party[j] = PartyInputs(inputs, j, num_clients);
+  }
+
+  MpcOutcome outcome;
+  {
+    obs::Span compute_span("sqm.mpc_compute", "sqm");
+    const auto compute_start = std::chrono::steady_clock::now();
+
+    // Recovery mode: meets every peer at the resume barrier and redoes from
+    // the minimum announced level: 0 = someone lost its input phase, full
+    // redo.
+    const auto reconcile = [&]() -> Status {
+      const uint64_t my_encoded =
+          checkpoint.valid ? static_cast<uint64_t>(checkpoint.next_level) + 1
+                           : 0;
+      SQM_ASSIGN_OR_RETURN(const uint64_t min_encoded,
+                           engine.protocol().ResumeBarrier(
+                               hooks.recovery_deadline_seconds, my_encoded));
+      if (min_encoded == 0) {
+        checkpoint = BgwCheckpoint{};
+      } else {
+        // min includes our own announcement, so min - 1 <= next_level.
+        checkpoint.next_level = static_cast<size_t>(min_encoded - 1);
+      }
+      SQM_FLIGHT_EVENT2("resume_barrier", "",
+                        static_cast<int64_t>(my_encoded),
+                        static_cast<int64_t>(min_encoded));
+      return Status::OK();
+    };
+    if (recovery && hooks.resume_first) {
+      SQM_RETURN_NOT_OK(reconcile());
+      outcome.resumed_from_level =
+          checkpoint.valid ? checkpoint.next_level : 0;
+    }
+
+    // One attempt: evaluate (resuming from the possibly rewound
+    // checkpoint), add the survivors' top-up shares, open. Nothing is
+    // double-added.
+    BgwCheckpoint* checkpoint_ptr =
+        policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
+    const size_t d = f.output_dim();
+    bool evaluated = false;
+    const auto attempt = [&]() -> Result<std::vector<int64_t>> {
+      evaluated = false;
+      SQM_ASSIGN_OR_RETURN(
+          SharedVector shares,
+          engine.EvaluateToShares(circuit, inputs_per_party, checkpoint_ptr));
+      evaluated = true;
+      const TopUpPlan topup = PlanTopUp(options, num_clients, tracker);
+      const std::vector<std::vector<int64_t>> topup_noise =
+          SampleTopUp(options, topup, d, party);
+      for (size_t k = 0; k < topup.survivors.size(); ++k) {
+        // A survivor hosted elsewhere is known here only by its length.
+        std::vector<Field::Element> values =
+            Field::EncodeVector(topup_noise[k]);
+        values.resize(d);
+        SQM_ASSIGN_OR_RETURN(const SharedVector extra_shares,
+                             engine.protocol().ShareFromParty(
+                                 topup.survivors[k], values, "topup"));
+        SQM_ASSIGN_OR_RETURN(shares,
+                             engine.protocol().Add(shares, extra_shares));
+      }
+      outcome.topup_mu = topup.mu;
+      return engine.OpenOutputs(shares);
+    };
+
+    // A run that loses a multiplication level to flaky links retries from
+    // the last completed level; a quorum shortfall (alive < 2t+1) is final.
+    const size_t max_attempts = MaxMpcAttempts(options);
+    while (true) {
+      ++outcome.attempts;
+      Result<std::vector<int64_t>> opened = attempt();
+      if (opened.ok()) {
+        outcome.raw = std::move(opened).ValueOrDie();
+        break;
+      }
+      // Without recovery a top-up or open failure is terminal. Under
+      // recovery the opening's full-quorum failure (a laggard peer still at
+      // its resume barrier) routes back through reconcile() like any failed
+      // level, or the laggard would be stranded with nobody answering it.
+      if (evaluated && !recovery) return opened.status();
+      SQM_LOG(kInfo) << "BGW attempt " << outcome.attempts
+                     << " failed: " << opened.status();
+      bool retryable =
+          policy != DropoutPolicy::kAbort && outcome.attempts < max_attempts;
+      if (retryable && recovery) {
+        // The barrier may revive a restarted party or declare a vanished
+        // one positively dead, so the quorum check comes after it.
+        SQM_RETURN_NOT_OK(reconcile());
+      }
+      retryable = retryable && (checkpoint.valid || recovery) &&
+                  tracker.num_alive() >= quorum;
+      if (!retryable) return opened.status();
+      outcome.resumed_from_level =
+          checkpoint.valid ? checkpoint.next_level : 0;
+    }
+    outcome.compute_seconds = SecondsSince(compute_start);
+  }
+  const size_t num_dropped = tracker.num_dead();
+  if (num_dropped > 0) {
+    SQM_FLIGHT_EVENT2("degrade", DropoutPolicyToString(policy),
+                      static_cast<int64_t>(num_dropped),
+                      static_cast<int64_t>(outcome.attempts));
+  }
+  return FinishSqmReport(f, options, inputs, num_clients, tracker,
+                         *transport, std::move(outcome));
 }
 
 }  // namespace sqm

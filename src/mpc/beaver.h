@@ -13,49 +13,25 @@ namespace sqm {
 /// Beaver-triple multiplication: the preprocessing-model alternative to
 /// BGW's GRR degree reduction.
 ///
-/// Offline, a dealer (or an offline protocol) distributes shares of random
-/// triples (a, b, c) with c = a * b. Online, multiplying [x] * [y] costs
-/// one opening of (x - a, y - b) — half the per-party traffic of GRR
-/// re-sharing and no fresh polynomial sampling on the critical path, at
-/// the price of consuming one triple per product.
+/// Offline, every party derives shares of random triples (a, b, c) with
+/// c = a * b. Online, multiplying [x] * [y] costs one opening of
+/// (x - a, y - b) — half the per-party traffic of GRR re-sharing and no
+/// fresh polynomial sampling on the critical path, at the price of
+/// consuming one triple per product. BgwProtocol::set_beaver_pool switches
+/// Mul onto this path.
 ///
 /// SQM treats the MPC as a black box (Section II), so this backend slots
 /// under the same SharedVector algebra; `bench/ablation_beaver_vs_grr`
-/// compares the online costs. The dealer here is the standard semi-honest
-/// preprocessing abstraction: in a deployment it would be replaced by an
-/// offline triple-generation protocol, which does not change the online
-/// phase measured here.
-class BeaverTripleDealer {
- public:
-  /// Shares of one multiplication triple: for each party j,
-  /// a_shares[j], b_shares[j], c_shares[j] are degree-t Shamir shares of
-  /// (a, b, a*b).
-  struct TripleShares {
-    std::vector<Field::Element> a_shares;
-    std::vector<Field::Element> b_shares;
-    std::vector<Field::Element> c_shares;
-  };
-
-  BeaverTripleDealer(ShamirScheme scheme, uint64_t seed);
-
-  /// Deals one random triple.
-  TripleShares Deal();
-
-  /// Deals `count` triples (one per element of a batched multiplication).
-  std::vector<TripleShares> DealBatch(size_t count);
-
- private:
-  ShamirScheme scheme_;
-  Rng rng_;
-};
-
-/// Offline-phase triple store: pre-deals a fixed budget of triples at
+/// compares the online costs.
+///
+/// The offline-phase triple store pre-deals a fixed budget of triples at
 /// construction and serves the online path from the queue, so online Mul
 /// timing and traffic contain zero dealing work. The triple stream is a
-/// pure function of (scheme, seed) and byte-identical to what a
-/// BeaverTripleDealer with the same seed would deal — every party (or the
-/// driver replaying all parties) derives the same pool independently,
-/// which is the standard semi-honest preprocessing abstraction.
+/// pure function of (scheme, seed) (pinned by golden_stream_test) — every
+/// party (or the driver replaying all parties) derives the same pool
+/// independently, which is the standard semi-honest preprocessing
+/// abstraction; a deployment would replace it by an offline
+/// triple-generation protocol, which does not change the online phase.
 ///
 /// Exhaustion is a refusal, never a silent online re-deal: Take past the
 /// dealt budget fails with kFailedPrecondition. Refill is an explicit
@@ -105,35 +81,6 @@ class BeaverTriplePool {
   std::vector<std::vector<Field::Element>> a_rows_;
   std::vector<std::vector<Field::Element>> b_rows_;
   std::vector<std::vector<Field::Element>> c_rows_;
-};
-
-/// Online Beaver multiplication over an existing BgwProtocol's network and
-/// sharing scheme.
-class BeaverMultiplier {
- public:
-  /// `protocol` supplies the parties, scheme, and network; `dealer` the
-  /// preprocessed triples. Both must outlive this object. Triples are
-  /// dealt inline during Mul — online timings therefore include dealing
-  /// cost; prefer the pool constructor for a true offline/online split.
-  BeaverMultiplier(BgwProtocol* protocol, BeaverTripleDealer* dealer);
-
-  /// Pool-backed variant: Mul consumes pre-dealt triples and fails with
-  /// the pool's kFailedPrecondition when the offline budget runs out.
-  BeaverMultiplier(BgwProtocol* protocol, BeaverTriplePool* pool);
-
-  /// Element-wise product of two shared vectors using one triple per
-  /// element: one communication round (the joint opening of d = x - a and
-  /// e = y - b), then the local combination [c] + d[b] + e[a] + d*e.
-  Result<SharedVector> Mul(const SharedVector& x, const SharedVector& y);
-
-  /// Triples consumed so far.
-  size_t triples_used() const { return triples_used_; }
-
- private:
-  BgwProtocol* protocol_;
-  BeaverTripleDealer* dealer_ = nullptr;
-  BeaverTriplePool* pool_ = nullptr;
-  size_t triples_used_ = 0;
 };
 
 }  // namespace sqm

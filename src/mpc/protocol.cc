@@ -497,8 +497,8 @@ Result<SharedVector> BgwProtocol::MulBeaver(const SharedVector& a,
   SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened,
                        OpenInPhase(packed));
 
-  // Local combination [xy] = [c] + d*[b] + e*[a] + d*e (same accumulation
-  // order as BeaverMultiplier, hence bit-identical results).
+  // Local combination [xy] = [c] + d*[b] + e*[a] + d*e, as three batched
+  // multiply-accumulate sweeps over the opened (d, e) halves.
   const Field::Element* d = opened.data();
   const Field::Element* e = opened.data() + k;
   std::vector<Field::Element> de(k);

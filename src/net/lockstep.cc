@@ -20,6 +20,8 @@ void LockstepTransport::ScheduleCrashes(
 }
 
 bool LockstepTransport::HasCrashed(size_t party) const {
+  // Most runs schedule no crash: skip the locked stats copy on every send.
+  if (crashes_.empty()) return false;
   const uint64_t completed_rounds = stats().rounds;
   for (const CrashEvent& event : crashes_) {
     if (event.party == party && completed_rounds >= event.after_rounds) {

@@ -736,6 +736,12 @@ Result<Transport::Payload> TcpTransport::Receive(size_t from, size_t to) {
           "party " + std::to_string(from) +
           " crashed (tcp link dead, reconnect window exhausted)");
     }
+    if (shutting_down_) {
+      // Nothing more will arrive: a party that left fails fast instead of
+      // waiting out the receive timeout.
+      return Status::Unavailable("party " + std::to_string(me_) +
+                                 " shut down its transport");
+    }
     if (Clock::now() >= deadline) {
       RecordTimeout();
       return Status::DeadlineExceeded(

@@ -137,10 +137,10 @@ struct TcpTransportOptions {
 /// protocol layer's LivenessTracker maps to an immediate kDead verdict.
 ///
 /// Accounting goes through the shared Transport hooks, so TransportStats
-/// and the obs registry's "net.*" counters reconcile exactly as they do
-/// for the in-process transports: sends count at the instant the frame is
-/// handed to the wire (delivered or not), receives are never counted,
-/// self-sends bypass both the socket layer and the statistics.
+/// (the only traffic account) counts exactly as it does for the in-process
+/// transports: sends count at the instant the frame is handed to the wire
+/// (delivered or not), receives are never counted, self-sends bypass both
+/// the socket layer and the statistics.
 class TcpTransport : public Transport {
  public:
   /// Builds the transport and establishes the full mesh, blocking up to

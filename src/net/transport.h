@@ -192,10 +192,6 @@ class Transport {
                                      Payload payload);
 
  private:
-  /// Adds to the "net.*" registry counter `name` iff observability is on
-  /// and this transport participates in registry accounting.
-  void MirrorToRegistry(const char* name, uint64_t n);
-
   const size_t num_parties_;
   const double per_round_latency_;
   const size_t element_wire_bytes_;

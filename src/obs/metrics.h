@@ -133,7 +133,7 @@ struct MetricsSnapshot {
 /// so call sites may cache the pointer (the SQM_OBS_* macros do).
 ///
 /// Naming convention: dot-separated "<subsystem>.<object>.<what>", e.g.
-/// "net.send.wire_bytes", "sampler.poisson.ptrs_rejections",
+/// "mpc.beaver.pool_remaining", "sampler.poisson.ptrs_rejections",
 /// "eigen.jacobi.off_diag_norm" (see docs/OBSERVABILITY.md).
 class Registry {
  public:

@@ -16,31 +16,39 @@ class BeaverTest : public ::testing::Test {
   BeaverTest()
       : network_(kParties, 0.0, Field::kWireBytes),
         protocol_(ShamirScheme(kParties, kThreshold), &network_, 21),
-        dealer_(ShamirScheme(kParties, kThreshold), 22),
-        multiplier_(&protocol_, &dealer_) {}
+        pool_(ShamirScheme(kParties, kThreshold), 22, 64) {
+    protocol_.set_beaver_pool(&pool_);
+  }
 
   LockstepTransport network_;
   BgwProtocol protocol_;
-  BeaverTripleDealer dealer_;
-  BeaverMultiplier multiplier_;
+  BeaverTriplePool pool_;
 };
 
 TEST_F(BeaverTest, DealtTriplesAreConsistent) {
   ShamirScheme scheme(kParties, kThreshold);
-  BeaverTripleDealer dealer(scheme, 3);
-  for (int i = 0; i < 50; ++i) {
-    const auto triple = dealer.Deal();
-    const Field::Element a = scheme.Reconstruct(triple.a_shares);
-    const Field::Element b = scheme.Reconstruct(triple.b_shares);
-    const Field::Element c = scheme.Reconstruct(triple.c_shares);
-    EXPECT_EQ(Field::Mul(a, b), c);
+  BeaverTriplePool pool(scheme, 3, 50);
+  const BeaverTriplePool::TripleBatch batch = pool.Take(50).ValueOrDie();
+  for (size_t i = 0; i < 50; ++i) {
+    std::vector<Field::Element> a_shares;
+    std::vector<Field::Element> b_shares;
+    std::vector<Field::Element> c_shares;
+    for (size_t j = 0; j < kParties; ++j) {
+      a_shares.push_back(batch.a.shares(j)[i]);
+      b_shares.push_back(batch.b.shares(j)[i]);
+      c_shares.push_back(batch.c.shares(j)[i]);
+    }
+    EXPECT_EQ(Field::Mul(scheme.Reconstruct(a_shares),
+                         scheme.Reconstruct(b_shares)),
+              scheme.Reconstruct(c_shares))
+        << "triple " << i;
   }
 }
 
 TEST_F(BeaverTest, TriplesAreFresh) {
-  const auto t1 = dealer_.Deal();
-  const auto t2 = dealer_.Deal();
-  EXPECT_NE(t1.a_shares, t2.a_shares);
+  const BeaverTriplePool::TripleBatch t1 = pool_.Take(1).ValueOrDie();
+  const BeaverTriplePool::TripleBatch t2 = pool_.Take(1).ValueOrDie();
+  EXPECT_NE(t1.a.shares(0), t2.a.shares(0));
 }
 
 TEST_F(BeaverTest, MulIsExact) {
@@ -50,10 +58,11 @@ TEST_F(BeaverTest, MulIsExact) {
   const SharedVector y =
       protocol_.ShareFromParty(1, Field::EncodeVector({7, 9, 5, -1000}))
           .ValueOrDie();
-  const SharedVector product = multiplier_.Mul(x, y).ValueOrDie();
+  const SharedVector product = protocol_.Mul(x, y).ValueOrDie();
   EXPECT_EQ(protocol_.OpenSigned(product).ValueOrDie(),
             (std::vector<int64_t>{21, -36, 0, -123456000}));
-  EXPECT_EQ(multiplier_.triples_used(), 4u);
+  EXPECT_EQ(protocol_.beaver_triples_used(), 4u);
+  EXPECT_EQ(pool_.taken(), 4u);
 }
 
 TEST_F(BeaverTest, MulChainsAndMatchesGrr) {
@@ -63,15 +72,17 @@ TEST_F(BeaverTest, MulChainsAndMatchesGrr) {
       protocol_.ShareFromParty(0, Field::EncodeVector({6})).ValueOrDie();
   const SharedVector y =
       protocol_.ShareFromParty(1, Field::EncodeVector({-7})).ValueOrDie();
-  const SharedVector beaver1 = multiplier_.Mul(x, y).ValueOrDie();
-  const SharedVector beaver2 = multiplier_.Mul(beaver1, x).ValueOrDie();
+  const SharedVector beaver1 = protocol_.Mul(x, y).ValueOrDie();
+  const SharedVector beaver2 = protocol_.Mul(beaver1, x).ValueOrDie();
   EXPECT_EQ(protocol_.OpenSigned(beaver2).ValueOrDie(),
             (std::vector<int64_t>{-252}));
 
+  protocol_.set_beaver_pool(nullptr);
   const SharedVector grr =
       protocol_.Mul(protocol_.Mul(x, y).ValueOrDie(), x).ValueOrDie();
   EXPECT_EQ(protocol_.OpenSigned(grr).ValueOrDie(),
             (std::vector<int64_t>{-252}));
+  EXPECT_EQ(protocol_.beaver_triples_used(), 2u);
 }
 
 TEST_F(BeaverTest, OnlineTrafficIsOneOpening) {
@@ -80,7 +91,7 @@ TEST_F(BeaverTest, OnlineTrafficIsOneOpening) {
   const SharedVector y =
       protocol_.ShareFromParty(1, Field::EncodeVector({4, 5, 6})).ValueOrDie();
   const NetworkStats before = network_.stats();
-  (void)multiplier_.Mul(x, y).ValueOrDie();
+  (void)protocol_.Mul(x, y).ValueOrDie();
   const NetworkStats after = network_.stats();
   // One round; the opening broadcasts 2*k elements per ordered pair.
   EXPECT_EQ(after.rounds - before.rounds, 1u);
@@ -93,43 +104,8 @@ TEST_F(BeaverTest, ShapeMismatchRejected) {
       protocol_.ShareFromParty(0, Field::EncodeVector({1, 2})).ValueOrDie();
   const SharedVector y =
       protocol_.ShareFromParty(1, Field::EncodeVector({3})).ValueOrDie();
-  EXPECT_FALSE(multiplier_.Mul(x, y).ok());
-}
-
-TEST_F(BeaverTest, PoolStreamMatchesDealerStream) {
-  // A pool and a dealer with equal seeds must produce byte-identical
-  // triple streams: the pool is the same dealing loop run offline.
-  const ShamirScheme scheme(kParties, kThreshold);
-  BeaverTriplePool pool(scheme, 97, 6);
-  BeaverTripleDealer dealer(scheme, 97);
-  const BeaverTriplePool::TripleBatch batch = pool.Take(6).ValueOrDie();
-  for (size_t i = 0; i < 6; ++i) {
-    const BeaverTripleDealer::TripleShares triple = dealer.Deal();
-    for (size_t j = 0; j < kParties; ++j) {
-      EXPECT_EQ(batch.a.shares(j)[i], triple.a_shares[j])
-          << "a triple " << i << " party " << j;
-      EXPECT_EQ(batch.b.shares(j)[i], triple.b_shares[j])
-          << "b triple " << i << " party " << j;
-      EXPECT_EQ(batch.c.shares(j)[i], triple.c_shares[j])
-          << "c triple " << i << " party " << j;
-    }
-  }
-}
-
-TEST_F(BeaverTest, PoolBackedMultiplierMatchesDealerBacked) {
-  const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({3, -4, 0, 123456}))
-          .ValueOrDie();
-  const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({7, 9, 5, -1000}))
-          .ValueOrDie();
-  BeaverTriplePool pool(ShamirScheme(kParties, kThreshold), 23, 4);
-  BeaverMultiplier pooled(&protocol_, &pool);
-  const SharedVector product = pooled.Mul(x, y).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(product).ValueOrDie(),
-            (std::vector<int64_t>{21, -36, 0, -123456000}));
-  EXPECT_EQ(pooled.triples_used(), 4u);
-  EXPECT_EQ(pool.available(), 0u);
+  EXPECT_FALSE(protocol_.Mul(x, y).ok());
+  EXPECT_EQ(pool_.taken(), 0u);
 }
 
 TEST_F(BeaverTest, PoolExhaustionRefusesWithoutStateChange) {
@@ -148,13 +124,12 @@ TEST_F(BeaverTest, PoolExhaustionRefusesWithoutStateChange) {
   EXPECT_EQ(pool.capacity(), 3u);
 
   // The remaining triple is still the third of the seed's stream.
-  BeaverTripleDealer dealer(ShamirScheme(kParties, kThreshold), 5);
-  dealer.Deal();
-  dealer.Deal();
-  const BeaverTripleDealer::TripleShares expected = dealer.Deal();
+  BeaverTriplePool straight(ShamirScheme(kParties, kThreshold), 5, 3);
+  ASSERT_TRUE(straight.Take(2).ok());
+  const BeaverTriplePool::TripleBatch expected = straight.Take(1).ValueOrDie();
   const BeaverTriplePool::TripleBatch last = pool.Take(1).ValueOrDie();
   for (size_t j = 0; j < kParties; ++j) {
-    EXPECT_EQ(last.c.shares(j)[0], expected.c_shares[j]);
+    EXPECT_EQ(last.c.shares(j), expected.c.shares(j));
   }
   EXPECT_EQ(pool.Take(1).status().code(), StatusCode::kFailedPrecondition);
 }
@@ -202,14 +177,15 @@ TEST_F(BeaverTest, RefillUnderDropoutEnforcesDealerQuorum) {
 TEST(BeaverThreePartyTest, WorksAtMinimalConfiguration) {
   LockstepTransport network(3, 0.0, Field::kWireBytes);
   BgwProtocol protocol(ShamirScheme(3, 1), &network, 31);
-  BeaverTripleDealer dealer(ShamirScheme(3, 1), 32);
-  BeaverMultiplier multiplier(&protocol, &dealer);
+  BeaverTriplePool pool(ShamirScheme(3, 1), 32, 1);
+  protocol.set_beaver_pool(&pool);
   const SharedVector x =
       protocol.ShareFromParty(0, Field::EncodeVector({11})).ValueOrDie();
   const SharedVector y =
       protocol.ShareFromParty(2, Field::EncodeVector({-3})).ValueOrDie();
-  EXPECT_EQ(protocol.OpenSigned(multiplier.Mul(x, y).ValueOrDie()).ValueOrDie(),
+  EXPECT_EQ(protocol.OpenSigned(protocol.Mul(x, y).ValueOrDie()).ValueOrDie(),
             (std::vector<int64_t>{-33}));
+  EXPECT_EQ(pool.available(), 0u);
 }
 
 }  // namespace

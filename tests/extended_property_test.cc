@@ -66,9 +66,8 @@ TEST_P(BeaverEqualsGrrTest, RandomVectorsMultiplyIdentically) {
   LockstepTransport network(parties, 0.0, Field::kWireBytes);
   BgwProtocol protocol(ShamirScheme(parties, threshold), &network,
                        parties * 13 + threshold);
-  BeaverTripleDealer dealer(ShamirScheme(parties, threshold),
-                            parties * 17 + threshold);
-  BeaverMultiplier beaver(&protocol, &dealer);
+  BeaverTriplePool pool(ShamirScheme(parties, threshold),
+                        parties * 17 + threshold, 8);
 
   Rng rng(parties + threshold);
   std::vector<int64_t> xs(8), ys(8), expected(8);
@@ -85,8 +84,10 @@ TEST_P(BeaverEqualsGrrTest, RandomVectorsMultiplyIdentically) {
 
   EXPECT_EQ(protocol.OpenSigned(protocol.Mul(x, y).ValueOrDie()).ValueOrDie(),
             expected);
-  EXPECT_EQ(protocol.OpenSigned(beaver.Mul(x, y).ValueOrDie()).ValueOrDie(),
+  protocol.set_beaver_pool(&pool);
+  EXPECT_EQ(protocol.OpenSigned(protocol.Mul(x, y).ValueOrDie()).ValueOrDie(),
             expected);
+  EXPECT_EQ(pool.available(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, BeaverEqualsGrrTest,

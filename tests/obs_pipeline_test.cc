@@ -1,7 +1,7 @@
 // End-to-end observability: a full SQM run (n = 5 parties, PCA-style
 // second-moment release over BGW) must leave behind (1) a Chrome trace
-// with per-party share / mul / open spans, (2) registry traffic counters
-// that reconcile EXACTLY with the transport's own accounting, and (3) a
+// with per-party share / mul / open spans, (2) transport traffic totals
+// that reconcile EXACTLY with the per-channel breakdown, and (3) a
 // privacy ledger embedded in the report.
 #include <gtest/gtest.h>
 
@@ -109,31 +109,29 @@ TEST_F(ObsPipelineTest, ChromeTraceJsonLoadsWithNamedPartyRows) {
   }
 }
 
-TEST_F(ObsPipelineTest, RegistryTrafficMatchesTransportStatsExactly) {
+/// TransportStats is the only traffic account: its totals must equal the
+/// sum over its per-channel breakdown, field for field.
+void ExpectTotalsEqualChannelSums(const TransportStats& transport) {
+  NetworkStats sum;
+  for (const ChannelStats& channel : transport.channels) {
+    sum.messages += channel.messages;
+    sum.field_elements += channel.field_elements;
+    sum.wire_bytes += channel.wire_bytes;
+  }
+  EXPECT_EQ(transport.totals.messages, sum.messages);
+  EXPECT_EQ(transport.totals.field_elements, sum.field_elements);
+  EXPECT_EQ(transport.totals.wire_bytes, sum.wire_bytes);
+  EXPECT_GT(transport.totals.wire_bytes, 0u);
+}
+
+TEST_F(ObsPipelineTest, TransportTotalsEqualPerChannelSums) {
   const Matrix x = SmallDatabase(8, kParties, 3);
   const PolynomialVector f = PolynomialVector::OuterProduct(kParties);
   const SqmReport report =
       SqmEvaluator(PcaStyleOptions()).Evaluate(f, x).ValueOrDie();
-
-  const obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
-  // Satellite invariant: totals == sum of per-channel == registry counter.
-  uint64_t channel_bytes = 0;
-  uint64_t channel_messages = 0;
-  for (const ChannelStats& channel : report.transport.channels) {
-    channel_bytes += channel.wire_bytes;
-    channel_messages += channel.messages;
-  }
-  EXPECT_EQ(report.transport.totals.wire_bytes, channel_bytes);
-  EXPECT_EQ(report.transport.totals.messages, channel_messages);
-  EXPECT_EQ(snapshot.CounterValue("net.send.wire_bytes"),
-            report.transport.totals.wire_bytes);
-  EXPECT_EQ(snapshot.CounterValue("net.send.messages"),
-            report.transport.totals.messages);
-  EXPECT_EQ(snapshot.CounterValue("net.send.field_elements"),
-            report.transport.totals.field_elements);
-  EXPECT_EQ(snapshot.CounterValue("net.rounds"),
-            report.transport.totals.rounds);
-  EXPECT_GT(report.transport.totals.wire_bytes, 0u);
+  ExpectTotalsEqualChannelSums(report.transport);
+  EXPECT_EQ(report.network.wire_bytes, report.transport.totals.wire_bytes);
+  EXPECT_EQ(report.network.rounds, report.transport.totals.rounds);
 }
 
 TEST_F(ObsPipelineTest, ReportEmbedsPrivacyLedger) {
@@ -160,20 +158,29 @@ TEST_F(ObsPipelineTest, KillSwitchSuppressesTraceAndMetricsButNotReport) {
   const Matrix x = SmallDatabase(6, kParties, 5);
   const PolynomialVector f = PolynomialVector::OuterProduct(kParties);
 
+  // The clients' Sk(mu/n) draws feed the sampler's registry counter.
+  const auto noise_draws = [] {
+    const obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
+    return snapshot.CounterValue("sampler.poisson.knuth_draws") +
+           snapshot.CounterValue("sampler.poisson.ptrs_draws");
+  };
+
   obs::SetEnabled(false);
   const SqmReport report =
       SqmEvaluator(PcaStyleOptions()).Evaluate(f, x).ValueOrDie();
   obs::SetEnabled(true);
 
   EXPECT_EQ(obs::Tracer::Global().num_events(), 0u);
-  EXPECT_EQ(obs::Registry::Global().Snapshot().CounterValue(
-                "net.send.messages"),
-            0u);
+  EXPECT_EQ(noise_draws(), 0u);
   EXPECT_EQ(obs::PrivacyLedger::Global().size(), 0u);
   // The report's own data is NOT gated: transport accounting and the
   // local ledger mirror are results, not telemetry.
   EXPECT_GT(report.transport.totals.messages, 0u);
   EXPECT_FALSE(report.ledger.empty());
+
+  // The same run with the switch on does write the counter.
+  ASSERT_TRUE(SqmEvaluator(PcaStyleOptions()).Evaluate(f, x).ok());
+  EXPECT_GT(noise_draws(), 0u);
 }
 
 TEST_F(ObsPipelineTest, DisabledRunReleasesIdenticalValues) {
@@ -196,12 +203,7 @@ TEST_F(ObsPipelineTest, ThreadedTransportReconcilesToo) {
   options.transport = TransportMode::kThreaded;
   const SqmReport report =
       SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
-
-  const obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
-  EXPECT_EQ(snapshot.CounterValue("net.send.wire_bytes"),
-            report.transport.totals.wire_bytes);
-  EXPECT_EQ(snapshot.CounterValue("net.send.messages"),
-            report.transport.totals.messages);
+  ExpectTotalsEqualChannelSums(report.transport);
 }
 
 }  // namespace

@@ -45,9 +45,14 @@ sqm::DeploymentConfig BaseConfig(size_t n) {
   return config;
 }
 
+constexpr size_t kNobodyLeaves = static_cast<size_t>(-1);
+
 /// Runs every party of `config` as a thread over a real loopback mesh and
-/// returns the n reports (all asserted ok).
-std::vector<sqm::SqmReport> RunNetworked(sqm::DeploymentConfig config) {
+/// returns the n reports (all asserted ok). Party `leaver` instead drops
+/// out: its mul-level hook shuts down its own transport at the first
+/// multiplication level, and its report is left empty.
+std::vector<sqm::SqmReport> RunNetworked(sqm::DeploymentConfig config,
+                                         size_t leaver = kNobodyLeaves) {
   const size_t n = config.parties.size();
   std::vector<Socket> listeners;
   for (size_t i = 0; i < n; ++i) {
@@ -72,9 +77,17 @@ std::vector<sqm::SqmReport> RunNetworked(sqm::DeploymentConfig config) {
         errors[i] = "transport: " + transport.status().ToString();
         return;
       }
+      sqm::TcpTransport* tcp = transport.ValueOrDie().get();
+      sqm::PartySqmHooks hooks;
+      if (i == leaver) {
+        hooks.mul_level_hook = [tcp](size_t level) {
+          if (level == 1) tcp->Shutdown();
+        };
+      }
       sqm::Result<sqm::SqmReport> report =
-          sqm::RunPartySqm(config, i, transport.ValueOrDie().get());
-      transport.ValueOrDie()->Shutdown();
+          sqm::RunPartySqm(config, i, tcp, hooks);
+      tcp->Shutdown();
+      if (i == leaver) return;
       if (!report.ok()) {
         errors[i] = report.status().ToString();
         return;
@@ -89,11 +102,14 @@ std::vector<sqm::SqmReport> RunNetworked(sqm::DeploymentConfig config) {
   return reports;
 }
 
-/// The driver-side reference for the same config.
-sqm::SqmReport RunLockstep(const sqm::DeploymentConfig& config) {
+/// The driver-side reference for the same config, with the lockstep
+/// transport's crash schedule.
+sqm::SqmReport RunLockstep(const sqm::DeploymentConfig& config,
+                           std::vector<sqm::CrashEvent> crashes = {}) {
   sqm::Result<sqm::SqmOptions> options =
       sqm::SqmOptionsFromDeployment(config);
   EXPECT_TRUE(options.ok()) << options.status().ToString();
+  options.ValueOrDie().threaded.faults.crashes = std::move(crashes);
   const sqm::Matrix x = sqm::GenerateDeploymentMatrix(
       config.rows, sqm::DeploymentCols(config), config.data_seed);
   sqm::Result<sqm::PolynomialVector> f =
@@ -318,6 +334,30 @@ TEST(PartySqm, FourPartiesWithThresholdOne) {
     // Both run the quorum census, so every process counts the in-process
     // run's rounds.
     EXPECT_EQ(reports[i].network.rounds, reference.network.rounds);
+  }
+
+  // A real dropout, under both quorum policies: party 3 leaves at the
+  // first multiplication level. Over TCP its hook shuts down its own
+  // transport; in-process the lockstep crash schedule stops it once the
+  // four input rounds (one per party) are done, before the same level.
+  for (const char* policy : {"degrade", "topup"}) {
+    SCOPED_TRACE(policy);
+    config.run_id = 20;
+    config.dropout_policy = policy;
+    const std::vector<sqm::SqmReport> survivors =
+        RunNetworked(config, /*leaver=*/3);
+    const sqm::SqmReport dropped =
+        RunLockstep(config, {sqm::CrashEvent{3, 4}});
+    ASSERT_FALSE(dropped.raw.empty());
+    EXPECT_EQ(dropped.dropout.survivors, (std::vector<size_t>{0, 1, 2}));
+    EXPECT_EQ(dropped.dropout.num_dropped, 1u);
+    EXPECT_GT(dropped.dropout.realized_mu, 0.0);
+    ASSERT_EQ(dropped.ledger.size(), 1u);
+    for (size_t i = 0; i < 3; ++i) {
+      SCOPED_TRACE("party " + std::to_string(i));
+      EXPECT_EQ(survivors[i].raw, dropped.raw);
+      ExpectSameAccounting(survivors[i], dropped);
+    }
   }
 }
 

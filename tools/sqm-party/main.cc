@@ -304,12 +304,6 @@ int main(int argc, char** argv) {
       sqm::RunPartySqm(config, me, wire, hooks);
   wire->Shutdown();
 
-  if (!args.trace_path.empty() && sqm::obs::Enabled()) {
-    if (!sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path)) {
-      std::cerr << "party " << me << ": cannot write trace "
-                << args.trace_path << "\n";
-    }
-  }
   if (telemetry != nullptr) {
     // Final snapshot from the report's FROZEN totals (the transport is
     // shut down), so fleet_metrics.json reconciles byte-for-byte with
@@ -319,6 +313,14 @@ int main(int argc, char** argv) {
         report.ok() ? report.ValueOrDie().transport.totals : wire->stats(),
         /*final_doc=*/true));
     delete telemetry;
+  }
+  // After the telemetry client stopped: its tick rewrites the same file,
+  // and two writers at once leave a document with trailing garbage.
+  if (!args.trace_path.empty() && sqm::obs::Enabled()) {
+    if (!sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path)) {
+      std::cerr << "party " << me << ": cannot write trace "
+                << args.trace_path << "\n";
+    }
   }
   if (sqm::obs::Enabled() && report.ok() &&
       report.ValueOrDie().dropout.num_dropped > 0) {
